@@ -322,8 +322,8 @@ let ablation_latency ctx =
 let ablation_pipeline ctx =
   (* the write-combining flush pipeline vs the legacy synchronous model:
      same workload, same flush/fence counts (verified by perf_smoke.exe),
-     different cost.  ralloc_file additionally prices the backing-file
-     path — coalesced pwrites at the fence vs one seek+write per line. *)
+     different cost.  ralloc_file runs the same over heap files mapped as
+     the persistent view, so its write-backs land in the page cache. *)
   Workloads.Harness.print_header "abl_pipeline"
     "Posted flushes drained at fences vs synchronous flushes (Threadtest, 1 \
      thread)";

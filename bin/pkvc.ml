@@ -64,6 +64,26 @@ let one_shot socket port retries req =
   Unix.close fd;
   finish resp
 
+(* A STATS reply's Prometheus text as a flat table: metric name (labels
+   included) -> value. *)
+let parse_prom text =
+  let tbl = Hashtbl.create 256 in
+  List.iter
+    (fun line ->
+      let line = String.trim line in
+      if String.length line > 0 && line.[0] <> '#' then
+        match String.rindex_opt line ' ' with
+        | Some i -> (
+          let name = String.sub line 0 i in
+          match
+            float_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
+          with
+          | Some v -> Hashtbl.replace tbl name v
+          | None -> ())
+        | None -> ())
+    (String.split_on_char '\n' text);
+  tbl
+
 (* Bulk load: [conns] threads, each sending its slice of [n] synchronous
    SETs (ints, or strings with [--strings]); BUSY replies are retried with
    a small backoff — the client-side half of the backpressure contract. *)
@@ -106,8 +126,10 @@ let cmd_load socket port retries n start conns strings =
    of them do synchronous SET/GET traffic — the client half of the
    server_scale story.  The idle majority proves the event loops carry a
    large connection set; the active minority measures what that does to
-   latency.  Reports ops/s and latency quantiles, then pings a few idle
-   connections to prove they survived the load. *)
+   latency.  Once every connection is open, and before the load, it
+   reports the server's own [server_conns] count; then ops/s and latency
+   quantiles, then it pings a few idle connections to prove they survived
+   the load. *)
 let cmd_bench socket port retries conns active n keys =
   (* connections refused by admission control (BUSY + close) must show up
      in the report, not kill the client with SIGPIPE *)
@@ -117,12 +139,33 @@ let cmd_bench socket port retries conns active n keys =
   let active = min active conns in
   let idle_n = conns - active in
   let idle = Array.init idle_n (fun _ -> connect ~retries addr) in
+  let fds = Array.init active (fun _ -> connect ~retries addr) in
+  (* the server's accepts can trail our connects, so poll its count over
+     one of the held connections until it sees them all (or 10 s pass) *)
+  let server_conns () =
+    match rpc (if idle_n > 0 then idle.(0) else fds.(0)) Proto.Stats with
+    | Proto.Text text -> (
+      match Hashtbl.find_opt (parse_prom text) "server_conns" with
+      | Some v -> int_of_float v
+      | None -> 0)
+    | _ | (exception _) -> 0
+  in
+  let rec held tries =
+    let c = server_conns () in
+    if c >= conns || tries = 0 then c
+    else begin
+      Unix.sleepf 0.05;
+      held (tries - 1)
+    end
+  in
+  Printf.printf "bench: server_conns %d with %d conns open\n%!" (held 200)
+    conns;
   let slice = (n + active - 1) / active in
   let lat = Array.make_matrix active slice 0 in
   let counts = Array.make active 0 in
   let t0 = Unix.gettimeofday () in
   let worker c =
-    let fd = connect ~retries addr in
+    let fd = fds.(c) in
     for i = 0 to slice - 1 do
       let k = (c * slice) + i in
       let req =
@@ -185,24 +228,6 @@ let cmd_bench socket port retries conns active n keys =
 (* A polling live view over the STATS reply: parse the Prometheus text
    into a flat table (metric name incl. quantile label -> value), diff
    consecutive samples for rates and per-stage shares, and redraw. *)
-
-let parse_prom text =
-  let tbl = Hashtbl.create 256 in
-  List.iter
-    (fun line ->
-      let line = String.trim line in
-      if String.length line > 0 && line.[0] <> '#' then
-        match String.rindex_opt line ' ' with
-        | Some i -> (
-          let name = String.sub line 0 i in
-          match
-            float_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
-          with
-          | Some v -> Hashtbl.replace tbl name v
-          | None -> ())
-        | None -> ())
-    (String.split_on_char '\n' text);
-  tbl
 
 (* worker-indexed gauge series like server_queue_depth_w0, _w1, ... *)
 let indexed tbl prefix =

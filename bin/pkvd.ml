@@ -39,13 +39,6 @@ let run heap size socket port workers loops max_conns batch batch_usec
     Obs.Trace.set_enabled true
   end;
   let srv = Server.Core.start ~config addr in
-  let st = Server.Core.store srv in
-  (match st.recovery with
-  | Some r ->
-    Printf.eprintf "pkvd: dirty image recovered (%d blocks, %.3fs)\n%!"
-      r.reachable_blocks
-      (r.trace_seconds +. r.rebuild_seconds)
-  | None -> ());
   Printf.eprintf
     "pkvd: serving %s on %s (%d workers, %d %s loop%s, max %d conns, batch %d, \
      %d us)\n\

@@ -38,11 +38,11 @@ module Lrmalloc_alloc : Alloc_iface.S with type t = Ralloc.t = struct
   let create ~size = Ralloc.create ~name ~persist:false ~size ()
 end
 
-(* Ralloc over file-backed regions: every drained line goes through to a
-   real heap file, so this variant prices the backing-file I/O path (the
-   write-combining pipeline's coalesced pwrites vs per-line writes) on top
-   of the latency model.  The scratch files are unlinked immediately —
-   their descriptors keep them alive for the benchmark's lifetime. *)
+(* Ralloc over file-backed regions: each region's persistent view is a
+   shared mapping of a real heap file, so every drained line lands in the
+   page cache, on top of the latency model.  The scratch files are
+   unlinked immediately — their descriptors and mappings keep them alive
+   for the benchmark's lifetime. *)
 module Ralloc_file_alloc : Alloc_iface.S with type t = Ralloc.t = struct
   include Ralloc_alloc
 

@@ -107,6 +107,9 @@ type seek_record = {
   mutable successor : int;
   mutable parent : int;
   mutable leaf : int;
+  mutable leaf_edge : int;
+      (* the edge word [leaf] was reached through: a flagged one means the
+         leaf's delete has taken effect and only its unlinking is left *)
 }
 
 let key_of t n = Ralloc.load t.heap (key_word n)
@@ -120,7 +123,15 @@ let seek t key =
   let s = edge_ref ~holder:(left_word r) (load (left_word r)) in
   let s_left_word = load (left_word s) in
   let first = edge_ref ~holder:(left_word s) s_left_word in
-  let sr = { ancestor = r; successor = s; parent = s; leaf = first } in
+  let sr =
+    {
+      ancestor = r;
+      successor = s;
+      parent = s;
+      leaf = first;
+      leaf_edge = s_left_word;
+    }
+  in
   let rec walk pf_word =
     let cf_addr = child_word t sr.leaf key in
     let cf_word = load cf_addr in
@@ -134,6 +145,7 @@ let seek t key =
       sr.leaf <- current;
       walk cf_word
     end
+    else sr.leaf_edge <- pf_word
   in
   walk s_left_word;
   sr
@@ -187,7 +199,12 @@ let rec insert_raw t key value =
   if key < 0 || key > max_key then invalid_arg "Nmtree.insert: key too large";
   let sr = seek t key in
   let leaf_key = key_of t sr.leaf in
-  if leaf_key = key then false
+  if leaf_key = key && flagged sr.leaf_edge then begin
+    (* deleted but still linked (say, across a crash): unlink, retry *)
+    ignore (cleanup t key sr);
+    insert_raw t key value
+  end
+  else if leaf_key = key then false
   else begin
     let parent = sr.parent in
     let child_addr = child_word t parent key in
@@ -267,7 +284,7 @@ let delete t key = guard t (fun () -> delete_raw t key)
 let find t key =
   guard t (fun () ->
       let sr = seek t key in
-      if key_of t sr.leaf = key then
+      if key_of t sr.leaf = key && not (flagged sr.leaf_edge) then
         Some (Ralloc.load t.heap (value_word sr.leaf))
       else None)
 
@@ -275,21 +292,22 @@ let mem t key = find t key <> None
 
 let iter f t =
   let load = Ralloc.load t.heap in
-  let rec walk n =
+  (* [via] is the edge word [n] was reached through *)
+  let rec walk n via =
     let lw = load (left_word n) in
     let l = edge_ref ~holder:(left_word n) lw in
     if l = 0 then begin
-      (* leaf: report client keys only *)
+      (* leaf: report live client keys only *)
       let k = key_of t n in
-      if k <= max_key then f k (load (value_word n))
+      if k <= max_key && not (flagged via) then f k (load (value_word n))
     end
     else begin
-      walk l;
+      walk l lw;
       let rw = load (right_word n) in
-      walk (edge_ref ~holder:(right_word n) rw)
+      walk (edge_ref ~holder:(right_word n) rw) rw
     end
   in
-  walk t.root
+  walk t.root 0
 
 let size t =
   let n = ref 0 in

@@ -39,13 +39,16 @@ val delete : t -> int -> bool
 (** False if [key] was absent. *)
 
 val find : t -> int -> int option
-(** [find t key] is the value bound to [key], if any. *)
+(** [find t key] is the value bound to [key], if any.  A delete takes
+    effect at its flag: a flagged leaf reads as absent even while it is
+    still linked, as after a crash between a delete's flag and its
+    unlinking. *)
 
 val mem : t -> int -> bool
 (** Membership test. *)
 
 val iter : (int -> int -> unit) -> t -> unit
-(** In-order traversal of client leaves (quiescent use only). *)
+(** In-order traversal of live client leaves (quiescent use only). *)
 
 val size : t -> int
 (** Number of client bindings (O(n) walk; quiescent use). *)

@@ -13,10 +13,6 @@ external raw_flush_line : buf -> buf -> int -> unit = "rpm_flush_line"
 external raw_sync_all : buf -> buf -> int -> int -> unit = "rpm_sync_all"
 [@@noalloc]
 
-external raw_pwrite : Unix.file_descr -> buf -> int -> int -> int -> int
-  = "rpm_pwrite"
-[@@noalloc]
-
 let words_per_line = 8
 let line_bytes = 64
 
@@ -30,7 +26,6 @@ let obs_cas = Obs.Counter.make "pmem.cas_ops"
 let obs_evictions = Obs.Counter.make "pmem.evictions"
 let obs_flush_dedup = Obs.Counter.make "pmem.flush_dedup"
 let obs_fences_elided = Obs.Counter.make "pmem.fences_elided"
-let obs_pwrite_batches = Obs.Counter.make "pmem.pwrite_batches"
 let obs_drain_ns = Obs.Histogram.make "pmem.drain_ns"
 
 (* Write-amplification accounting: logical bytes the program stored into
@@ -187,10 +182,12 @@ type t = {
   region_name : string;
   nwords : int;
   vol : buf;  (* the CPUs' view: caches + memory *)
-  pers : buf;  (* the durable medium *)
-  mutable backing : Unix.file_descr option;
-      (* the DAX file: written through on every drain/eviction, so a process
-         that dies without closing leaves exactly the durable state behind *)
+  pers : buf;
+      (* the durable medium: for a file-backed region, a shared mapping of
+         the image past its header, so every write-back lands in the file
+         and a process that dies without closing leaves exactly the durable
+         state behind *)
+  mutable backing : Unix.file_descr option;  (* the image file, until close *)
   pending_key : pending Domain.DLS.key;
   pending_lock : Mutex.t;  (* guards [pending_all] and crash-time scans *)
   pending_all : pending list ref;  (* every domain's pending set, for crash *)
@@ -210,28 +207,8 @@ type t = {
 let file_magic = "RALLOC-PMEM-2"
 let data_offset = 4096
 
-(* Copy [len] bytes of the persistent view, starting at [byte_off], out to
-   the backing file (if any) with one positioned write straight from the
-   persistent-view buffer: no staging allocation, no seek, and no lock —
-   pwrite carries its own offset, so concurrent drains cannot interleave
-   a seek/write pair. *)
-let write_backing t ~byte_off ~len =
-  match t.backing with
-  | None -> ()
-  | Some fd ->
-    let n = raw_pwrite fd t.pers byte_off len (data_offset + byte_off) in
-    if n < 0 then
-      failwith
-        (Printf.sprintf "Pmem(%s): backing-file pwrite failed (errno %d)"
-           t.region_name (-n))
-    else if n < len then
-      failwith
-        (Printf.sprintf
-           "Pmem(%s): short backing-file write (%d of %d bytes at offset %d)"
-           t.region_name n len byte_off);
-    Obs.Counter.incr obs_pwrite_batches
-
 let round_up_words size_bytes =
+  if size_bytes <= 0 then invalid_arg "Pmem.create: size must be positive";
   let words = (size_bytes + 7) / 8 in
   (words + words_per_line - 1) / words_per_line * words_per_line
 
@@ -240,9 +217,7 @@ let make_buf nwords : buf =
   Bigarray.Array1.fill b 0L;
   b
 
-let create ?(name = "pmem") ~size_bytes () =
-  if size_bytes <= 0 then invalid_arg "Pmem.create: size must be positive";
-  let nwords = round_up_words size_bytes in
+let region ~name ~nwords ~pers =
   let pending_lock = Mutex.create () in
   let pending_all = ref [] in
   let pending_key =
@@ -260,7 +235,7 @@ let create ?(name = "pmem") ~size_bytes () =
     region_name = name;
     nwords;
     vol = make_buf nwords;
-    pers = make_buf nwords;
+    pers;
     backing = None;
     pending_key;
     pending_lock;
@@ -273,6 +248,10 @@ let create ?(name = "pmem") ~size_bytes () =
     evictions = Atomic.make 0;
     shadow = None;
   }
+
+let create ?(name = "pmem") ~size_bytes () =
+  let nwords = round_up_words size_bytes in
+  region ~name ~nwords ~pers:(make_buf nwords)
 
 (* Double-checked under the pending lock so two domains racing the first
    checked event agree on one shadow.  Callers holding [pending_lock]
@@ -323,8 +302,7 @@ let evict_line t w =
   Obs.Counter.add obs_physical_bytes line_bytes;
   let line = w / words_per_line in
   if Pcheck.on () then Pcheck.on_evict (shadow t) ~line;
-  raw_flush_line t.vol t.pers line;
-  write_backing t ~byte_off:(line * line_bytes) ~len:line_bytes
+  raw_flush_line t.vol t.pers line
 
 let store t w v =
   check_word t w;
@@ -382,47 +360,16 @@ let enqueue_line t line =
     p.count <- n + 1
   end
 
-(* Write the pending lines back volatile -> persistent and emit the backing
-   bytes as one pwrite per contiguous line run.  Returns how many lines
-   drained.  Called only by the set's owning domain (fence) or under the
-   pending lock (flush_all / close).  Allocation-free: the common k of 1-2
-   must not cost more than the latency the pipeline saves. *)
+(* Write the pending lines back volatile -> persistent.  Returns how many
+   lines drained.  Called only by the set's owning domain (fence) or under
+   the pending lock (close).  Allocation-free: the common k of 1-2 must not
+   cost more than the latency the pipeline saves. *)
 let drain_pending t p =
   let k = p.count in
   if k > 0 then begin
-    let lines = p.lines in
-    if t.backing = None then
-      (* write-back order is irrelevant without a file to coalesce for *)
-      for i = 0 to k - 1 do
-        raw_flush_line t.vol t.pers lines.(i)
-      done
-    else begin
-      (* insertion sort in place: k is small, and range flushes arrive
-         already ascending, where this is linear *)
-      for i = 1 to k - 1 do
-        let v = lines.(i) in
-        let j = ref i in
-        while !j > 0 && lines.(!j - 1) > v do
-          lines.(!j) <- lines.(!j - 1);
-          decr j
-        done;
-        lines.(!j) <- v
-      done;
-      for i = 0 to k - 1 do
-        raw_flush_line t.vol t.pers lines.(i)
-      done;
-      let i = ref 0 in
-      while !i < k do
-        let j = ref !i in
-        while !j + 1 < k && lines.(!j + 1) = lines.(!j) + 1 do
-          incr j
-        done;
-        write_backing t
-          ~byte_off:(lines.(!i) * line_bytes)
-          ~len:((!j - !i + 1) * line_bytes);
-        i := !j + 1
-      done
-    end;
+    for i = 0 to k - 1 do
+      raw_flush_line t.vol t.pers p.lines.(i)
+    done;
     Obs.Counter.add obs_physical_bytes (k * line_bytes);
     p.count <- 0
   end;
@@ -441,7 +388,6 @@ let flush_impl t w =
   | Synchronous ->
     raw_flush_line t.vol t.pers line;
     Obs.Counter.add obs_physical_bytes line_bytes;
-    write_backing t ~byte_off:(line * line_bytes) ~len:line_bytes;
     spin_iters (iters_of flush_iters !flush_latency_ns)
 
 let fence_impl t =
@@ -501,8 +447,8 @@ let fence t =
    which regions were touched.  [drain_deferred] later issues one real fence
    per touched region, amortizing the stall over the whole batch (WAL-style
    group commit).  Ordering fences (content-before-publish) must keep using
-   [fence]; eliding those can tear values because [drain_pending] writes
-   lines back in line-number order, not program order. *)
+   [fence]; eliding those can tear values because a crash keeps any subset
+   of the posted lines, so a publish edge can persist without its payload. *)
 
 type defer_state = {
   mutable defer_active : bool;
@@ -568,8 +514,6 @@ let flush_range_impl t w n =
         raw_flush_line t.vol t.pers line
       done;
       Obs.Counter.add obs_physical_bytes ((last - first + 1) * line_bytes);
-      write_backing t ~byte_off:(first * line_bytes)
-        ~len:((last - first + 1) * line_bytes);
       spin_iters (iters_of flush_iters !flush_latency_ns * (last - first + 1))
   end
 
@@ -593,17 +537,7 @@ let discard_all_pending t =
 let flush_all t =
   if Pcheck.on () then Pcheck.on_flush_all (shadow t);
   discard_all_pending t;
-  raw_sync_all t.vol t.pers t.nwords 0;
-  (* write the whole image through in 1 MB chunks *)
-  if t.backing <> None then begin
-    let chunk = 1 lsl 20 in
-    let total = t.nwords * 8 in
-    let off = ref 0 in
-    while !off < total do
-      write_backing t ~byte_off:!off ~len:(min chunk (total - !off));
-      off := !off + chunk
-    done
-  end
+  raw_sync_all t.vol t.pers t.nwords 0
 
 let crash t =
   (* Lines posted but not yet drained by a fence are not guaranteed durable.
@@ -622,8 +556,7 @@ let crash t =
           (match sh with
           | Some s -> Pcheck.on_evict s ~line
           | None -> ());
-          raw_flush_line t.vol t.pers line;
-          write_backing t ~byte_off:(line * line_bytes) ~len:line_bytes
+          raw_flush_line t.vol t.pers line
         end
       done;
       p.count <- 0)
@@ -703,58 +636,55 @@ let read_header fd path =
             file_magic)
   then failwith (Printf.sprintf "Pmem.open_file: %s is not a pmem image" path);
   let nwords = Int64.to_int (Bytes.get_int64_le buf 16) in
+  if nwords <= 0 || nwords mod words_per_line <> 0 then
+    failwith (Printf.sprintf "Pmem.open_file: %s has a bad word count" path);
   let name_len = Char.code (Bytes.get buf 24) in
   (nwords, Bytes.sub_string buf 25 name_len)
 
-(* Fill [t.pers] from the image bytes following the header.  Shared by
-   [open_file] (which then attaches the fd as backing) and [load_image]
-   (which does not). *)
-let read_image fd path t nwords =
-  let chunk_bytes = 1 lsl 20 in
-  let buf = Bytes.create chunk_bytes in
-  let total = nwords * 8 in
-  let off = ref 0 in
-  seek_exact fd data_offset;
-  while !off < total do
-    let want = min chunk_bytes (total - !off) in
-    let got = Unix.read fd buf 0 want in
-    if got = 0 then failwith ("Pmem: truncated image " ^ path);
-    for i = 0 to (got / 8) - 1 do
-      Bigarray.Array1.unsafe_set t.pers
-        ((!off / 8) + i)
-        (Bytes.get_int64_le buf (i * 8))
-    done;
-    off := !off + got
-  done
+(* Map the image's data area, the [nwords] words past the header, as a
+   persistent view: shared, so write-backs land in the file, or private,
+   so they never can.  Words are in host order, which is the format's
+   little-endian on every platform this runs on.  [Unix.map_file] silently
+   grows a short file, so a truncated image is refused before mapping. *)
+let map_image fd path ~nwords ~shared : buf =
+  if nwords > ((Unix.fstat fd).Unix.st_size - data_offset) / 8 then
+    failwith ("Pmem: truncated image " ^ path);
+  Bigarray.array1_of_genarray
+    (Unix.map_file fd ~pos:(Int64.of_int data_offset) Bigarray.int64
+       Bigarray.c_layout shared [| nwords |])
 
 let open_file ?name ~path ~size_bytes () =
   let existed = Sys.file_exists path in
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   try
-    if existed then begin
-      let nwords, stored_name = read_header fd path in
-      let t = create ~name:(Option.value name ~default:stored_name)
-          ~size_bytes:(nwords * 8) () in
-      read_image fd path t nwords;
-      crash t (* volatile view starts as the durable contents, like mmap *);
-      t.backing <- Some fd;
-      (t, true)
-    end
-    else begin
-      let t = create ?name ~size_bytes () in
-      write_header fd t.nwords t.region_name;
-      (* reserve the data area so the file has its final size *)
-      Unix.ftruncate fd (data_offset + (t.nwords * 8));
-      t.backing <- Some fd;
-      (t, false)
-    end
+    let t =
+      if existed then begin
+        let nwords, stored_name = read_header fd path in
+        let pers = map_image fd path ~nwords ~shared:true in
+        let t =
+          region ~name:(Option.value name ~default:stored_name) ~nwords ~pers
+        in
+        crash t (* volatile view starts as the durable contents, like mmap *);
+        t
+      end
+      else begin
+        let nwords = round_up_words size_bytes in
+        let name = Option.value name ~default:"pmem" in
+        write_header fd nwords name;
+        (* give the file its final size; the data area reads as zeros *)
+        Unix.ftruncate fd (data_offset + (nwords * 8));
+        region ~name ~nwords ~pers:(map_image fd path ~nwords ~shared:true)
+      end
+    in
+    t.backing <- Some fd;
+    (t, existed)
   with e ->
     Unix.close fd;
     raise e
 
-(* Read an image into a fresh in-memory region without attaching the file
-   as backing: the caller gets the durable state to inspect (or even
-   recover) without any risk of writing the file — bin/rstat's contract. *)
+(* Map an image privately into a fresh region: the caller gets the durable
+   state to inspect (or even recover) without any risk of writing the file,
+   which is bin/rstat's contract. *)
 let load_image ~path =
   if not (Sys.file_exists path) then
     failwith ("Pmem.load_image: no such image " ^ path);
@@ -762,13 +692,11 @@ let load_image ~path =
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      let nwords, stored_name = read_header fd path in
-      let t = create ~name:stored_name ~size_bytes:(nwords * 8) () in
-      read_image fd path t nwords;
+      let nwords, name = read_header fd path in
+      let pers = map_image fd path ~nwords ~shared:false in
+      let t = region ~name ~nwords ~pers in
       crash t (* volatile view = durable contents *);
       t)
-
-let sync t = match t.backing with None -> () | Some fd -> Unix.fsync fd
 
 let close_file t =
   match t.backing with

@@ -9,7 +9,8 @@
     - the {b persistent view}: the durable medium.  It receives data only
       when a cache line is explicitly {!flush}ed (modeling [clwb]+[sfence])
       or, if {!set_eviction_rate} is nonzero, when the simulated cache
-      spontaneously evicts a dirty line.
+      spontaneously evicts a dirty line.  For a file-backed region it
+      {e is} the mapped image file (see {!open_file}).
 
     Memory is word-addressable: a word is 8 bytes and holds a 62-bit OCaml
     [int] payload (every encoding in this library is designed to fit).
@@ -69,11 +70,10 @@ val fetch_add : t -> int -> int -> int
     write-combining set (repeated flushes of the same line between fences
     dedup — clwb is idempotent) and charges only a small issue cost; the
     next {!fence} drains the set — copies the posted lines to the
-    persistent view, emits one coalesced backing-file write per contiguous
-    line run — and charges [max(fence_ns, k * drain_ns)] for [k] drained
-    lines, modeling overlapped write-backs.  A line that has been flushed
-    but not yet fenced is {e not} guaranteed durable at {!crash} (it may
-    still persist probabilistically under the eviction model).
+    persistent view — and charges [max(fence_ns, k * drain_ns)] for [k]
+    drained lines, modeling overlapped write-backs.  A line that has been
+    flushed but not yet fenced is {e not} guaranteed durable at {!crash}
+    (it may still persist probabilistically under the eviction model).
 
     {!Synchronous} mode retains the legacy semantics — every flush copies
     its line and pays the full write-back latency inline — for ablations.
@@ -106,9 +106,9 @@ val fence_release : t -> unit
     drain obligation.  Use it only for post-publish durability fences — the
     ones whose sole purpose is to bound {e when} an already-published
     operation becomes durable.  Ordering fences (persist content {e before}
-    publishing a pointer to it) must keep using {!fence}: the pipeline
-    drains lines in line-number order, so eliding an ordering fence can
-    persist a publish edge before its payload across a crash. *)
+    publishing a pointer to it) must keep using {!fence}: a {!crash} keeps
+    any subset of the posted lines, so eliding an ordering fence can
+    persist a publish edge without its payload. *)
 
 (** {2 Group commit (per-domain fence deferral)}
 
@@ -198,29 +198,36 @@ val load_string : t -> int -> int -> string
 
 (** {1 File backing (the DAX file)}
 
-    A file-backed region writes every durably written-back line {e through}
-    to its file — at the draining {!fence} in {!Pipelined} mode (one
-    positioned write per contiguous line run), per {!flush} in
-    {!Synchronous} mode, and per eviction — so the file always equals the
-    durable medium: a process that dies without closing leaves exactly its
-    fenced state behind, as a DAX mapping would.  In-memory regions
-    ({!create}) skip all file I/O. *)
+    A file-backed region's persistent view is a shared mapping of its image
+    file past a 4096 B header, so every line written back — at the draining
+    {!fence} in {!Pipelined} mode, per {!flush} in {!Synchronous} mode, and
+    per eviction — lands in the file with no system call, as on a DAX
+    mapping.  The file therefore always equals the durable medium: a process
+    that dies without closing leaves exactly its fenced state behind in the
+    page cache.  A line is copied word by word, so a [kill -9] that lands
+    inside a copy can tear that one line in the file; only a fence still
+    in progress can be cut short that way, so no fenced data is exposed.
+    The volatile view stays an anonymous copy.  In-memory regions
+    ({!create}) have no file. *)
 
 val open_file : ?name:string -> path:string -> size_bytes:int -> unit -> t * bool
 (** [open_file ~path ~size_bytes ()] opens (or creates) the region backed
-    by [path].  Returns [(region, existed)].  When the file existed, its
-    stored size wins over [size_bytes] and the volatile view starts as the
-    durable contents. *)
+    by [path] and maps its data area as the persistent view.  Returns
+    [(region, existed)].  When the file existed, its stored size wins over
+    [size_bytes] and the volatile view starts as the durable contents.
+    @raise Failure if an existing file is not a pmem image or is shorter
+    than its header's word count (it is never grown). *)
 
 val load_image : path:string -> t
-(** [load_image ~path] reads a pmem image into a fresh {e in-memory}
+(** [load_image ~path] maps a pmem image {e privately} into a fresh
     region — the volatile view starts as the durable contents, exactly as
-    {!open_file} would see them — but does {b not} attach the file as
-    backing: nothing the caller does to the region can reach the file.
-    This is how an offline inspector ([bin/rstat]) examines, and even
-    trial-recovers, a heap image without mutating it.  The file is opened
-    read-only and closed before returning.
-    @raise Failure if the file is missing or not a pmem image. *)
+    {!open_file} would see them — so nothing the caller does to the region
+    (stores, flushes, fences, {!flush_all}) can reach the file: written
+    pages are copied on write.  This is how an offline inspector
+    ([bin/rstat]) examines, and even trial-recovers, a heap image without
+    mutating it.  The file is opened read-only and closed before returning.
+    @raise Failure if the file is missing, not a pmem image, or shorter
+    than its header's word count. *)
 
 val flight_backend : t -> first_word:int -> words:int -> Obs.Flight.backend
 (** [flight_backend t ~first_word ~words] exposes the word window
@@ -229,17 +236,17 @@ val flight_backend : t -> first_word:int -> words:int -> Obs.Flight.backend
     flight recorder writes through.  Indices passed to the backend are
     window-relative and bounds-checked; flush and fence go through the
     normal persistence pipeline, so flight-recorder traffic is counted,
-    latency-charged, crash-simulated and written through to any backing
-    file like the allocator's own.
+    latency-charged, crash-simulated and written back to any mapped image
+    like the allocator's own.
     @raise Invalid_argument if the window is out of bounds or
     [first_word] is not cache-line aligned. *)
 
-val sync : t -> unit
-(** [fsync] the backing file (no-op for in-memory regions). *)
-
 val close_file : t -> unit
-(** Drain outstanding posted flushes, sync and close the backing file; the
-    region remains usable in memory. *)
+(** Drain every domain's outstanding posted flushes, [fsync] and close the
+    image file (a no-op for in-memory and {!load_image} regions).  The
+    persistent view stays mapped until the region is garbage-collected, so
+    any later write-back would still reach the file: a closed region must
+    not be flushed, fenced, evicted into or crashed again. *)
 
 (** {1 Statistics} *)
 

@@ -7,11 +7,9 @@
  * encoding in the library), so none of these functions allocate.
  */
 
-#include <errno.h>
 #include <stdatomic.h>
 #include <stdint.h>
 #include <string.h>
-#include <unistd.h>
 
 #include <caml/bigarray.h>
 #include <caml/mlvalues.h>
@@ -63,8 +61,8 @@ CAMLprim value rpm_store64(value ba, value idx, value v)
 
 /* Write one 64 B cache line (8 words) back from the volatile view to the
  * persistent view.  Source words are read atomically; the persistent view is
- * only ever touched by flushes, crash reloads and save/load, never by CPUs,
- * so plain stores suffice on the destination side. */
+ * only ever touched by flushes and crash reloads, never by CPUs, so plain
+ * stores suffice on the destination side. */
 CAMLprim value rpm_flush_line(value vol, value pers, value line)
 {
   _Atomic int64_t *src = ((_Atomic int64_t *)Caml_ba_data_val(vol)) + Long_val(line) * 8;
@@ -72,33 +70,6 @@ CAMLprim value rpm_flush_line(value vol, value pers, value line)
   for (int i = 0; i < 8; i++)
     dst[i] = atomic_load_explicit(src + i, memory_order_acquire);
   return Val_unit;
-}
-
-/* Positioned write of [len] bytes of a region view (the persistent-view
- * Bigarray, so no staging copy) starting at byte [off], to absolute file
- * offset [file_off].  pwrite(2) carries its own offset, so concurrent
- * writers need no seek+write lock.  Loops over partial writes and EINTR in
- * C; returns the byte count written, or -errno on the first hard error.
- * Bigarray data lives off the OCaml heap, so the pointer is stable even if
- * the write blocks.  Bytes go out in host order: the simulated-NVM file
- * format is little-endian, matching every platform this runs on. */
-CAMLprim value rpm_pwrite(value fd, value ba, value off, value len, value file_off)
-{
-  const char *src = (const char *)Caml_ba_data_val(ba) + Long_val(off);
-  size_t remaining = (size_t)Long_val(len);
-  off_t pos = (off_t)Long_val(file_off);
-  while (remaining > 0) {
-    ssize_t n = pwrite(Int_val(fd), src, remaining, pos);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Val_long(-errno);
-    }
-    if (n == 0) break; /* should not happen on a regular file; report short */
-    src += n;
-    pos += n;
-    remaining -= (size_t)n;
-  }
-  return Val_long(Long_val(len) - (long)remaining);
 }
 
 /* Bulk copy persistent -> volatile (crash reload) or volatile -> persistent

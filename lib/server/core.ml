@@ -838,6 +838,14 @@ let start ?config addr =
   (* a dead client's closed socket must not kill the server *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let st = Store.open_store ~concurrent:true ~size:cfg.heap_size cfg.heap_path in
+  (* reported before the socket listens: a client may kill the server as
+     soon as it answers, and must still find the report in its log *)
+  (match st.recovery with
+  | Some r ->
+    Printf.eprintf "pkvd: dirty image recovered (%d blocks, %.3fs)\n%!"
+      r.reachable_blocks
+      (r.trace_seconds +. r.rebuild_seconds)
+  | None -> ());
   let domain_of_sockaddr = function
     | Unix.ADDR_UNIX _ -> Unix.PF_UNIX
     | Unix.ADDR_INET _ -> Unix.PF_INET

@@ -100,7 +100,10 @@ type t
 val start : ?config:config -> Unix.sockaddr -> t
 (** Open (and if needed recover) the store, bind and listen on the given
     address (an existing Unix-domain socket file is replaced), and spawn
-    the event-loop threads and worker domains.  Returns once serving. *)
+    the event-loop threads and worker domains.  Returns once serving.  A
+    recovery is reported on stderr
+    (["pkvd: dirty image recovered (N blocks, Ss)"]) before the socket
+    listens. *)
 
 val sockaddr : t -> Unix.sockaddr
 (** The bound address (useful with an ephemeral TCP port). *)

@@ -272,6 +272,31 @@ let test_nmtree_crash_recovery () =
       Alcotest.(check bool) "delete after recovery" true
         (Dstruct.Nmtree.delete t 10_001))
 
+(* A delete takes effect at its flag CAS.  Here the unlinking swing's
+   release fence is deferred (group commit) and the crash lands before the
+   drain, so recovery finds the leaf still linked behind a durable flag:
+   the key must read as absent from the first lookup on, not linger until
+   some later operation happens to finish the unlink. *)
+let test_nmtree_crash_after_flag () =
+  with_heap (fun h ->
+      let t = Dstruct.Nmtree.create h ~root:0 in
+      List.iter (fun k -> ignore (Dstruct.Nmtree.insert t k k)) [ 10; 20; 30 ];
+      Pmem.set_fence_deferral true;
+      Alcotest.(check bool) "delete 20" true (Dstruct.Nmtree.delete t 20);
+      let h, _ = Ralloc.crash_and_reopen h in
+      Pmem.set_fence_deferral false;
+      let t = Dstruct.Nmtree.attach h ~root:0 in
+      ignore (Ralloc.recover h);
+      Alcotest.(check (option int)) "find 20" None (Dstruct.Nmtree.find t 20);
+      Alcotest.(check int) "size" 2 (Dstruct.Nmtree.size t);
+      Alcotest.(check bool) "insert 20" true (Dstruct.Nmtree.insert t 20 21);
+      Alcotest.(check (option int)) "find 20 after insert" (Some 21)
+        (Dstruct.Nmtree.find t 20);
+      Alcotest.(check bool) "delete 20 again" true (Dstruct.Nmtree.delete t 20);
+      Alcotest.(check (option int)) "find 10" (Some 10) (Dstruct.Nmtree.find t 10);
+      Alcotest.(check (option int)) "find 30" (Some 30) (Dstruct.Nmtree.find t 30);
+      Dstruct.Nmtree.check_invariants t)
+
 (* ------------------------- Rbtree ------------------------- *)
 
 module RB = Dstruct.Rbtree.Make (Baselines.Allocators.Ralloc_alloc)
@@ -423,6 +448,8 @@ let () =
           Alcotest.test_case "concurrent mixed" `Slow
             test_nmtree_concurrent_mixed;
           Alcotest.test_case "crash recovery" `Quick test_nmtree_crash_recovery;
+          Alcotest.test_case "crash after delete flag" `Quick
+            test_nmtree_crash_after_flag;
         ] );
       ( "rbtree",
         [

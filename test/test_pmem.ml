@@ -1,6 +1,6 @@
 (* Tests for the simulated-NVM substrate: atomic word operations,
-   flush/fence/crash semantics, eviction injection, byte access, file
-   backing with write-through, and cross-domain atomicity. *)
+   flush/fence/crash semantics, eviction injection, byte access, mapped
+   image files, and cross-domain atomicity. *)
 
 let test_store_load () =
   let r = Pmem.create ~size_bytes:4096 () in
@@ -305,6 +305,68 @@ let test_file_rejects_garbage () =
            false
          with Failure _ -> true))
 
+let file_size path = (Unix.stat path).Unix.st_size
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_file_rejects_truncated () =
+  (* The header promises more words than the file holds.  Mapping such a
+     file would silently grow it; both openers must refuse it instead and
+     leave it exactly as short as it was. *)
+  with_temp_file (fun path ->
+      let r, _ = Pmem.open_file ~path ~size_bytes:8192 () in
+      Pmem.close_file r;
+      Unix.truncate path (file_size path - 4096);
+      let short = file_size path in
+      let refused f = try ignore (f ()); false with Failure _ -> true in
+      Alcotest.(check bool) "open_file refuses" true
+        (refused (fun () -> Pmem.open_file ~path ~size_bytes:8192 ()));
+      Alcotest.(check int) "open_file did not grow it" short (file_size path);
+      Alcotest.(check bool) "load_image refuses" true
+        (refused (fun () -> Pmem.load_image ~path));
+      Alcotest.(check int) "load_image did not grow it" short (file_size path))
+
+let test_file_rejects_bad_word_count () =
+  (* The header's word count sizes the mapping, and write-back is by whole
+     lines: a count that is not a whole number of lines is refused. *)
+  with_temp_file (fun path ->
+      let r, _ = Pmem.open_file ~path ~size_bytes:8192 () in
+      Pmem.close_file r;
+      let img = Bytes.of_string (read_file path) in
+      Bytes.set_int64_le img 16 12L;
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc img);
+      Alcotest.(check bool) "refused" true
+        (try
+           ignore (Pmem.load_image ~path);
+           false
+         with Failure _ -> true))
+
+let test_load_image_leaves_file () =
+  (* What a trial recovery does to a loaded image — stores, flushes,
+     fences, a whole-region flush_all — must never reach the file. *)
+  with_temp_file (fun path ->
+      let r, _ = Pmem.open_file ~path ~size_bytes:8192 () in
+      Pmem.store r 3 31;
+      Pmem.store r 700 7;
+      Pmem.flush_all r;
+      Pmem.close_file r;
+      let before = read_file path in
+      let img = Pmem.load_image ~path in
+      Alcotest.(check int) "sees the durable contents" 31 (Pmem.load img 3);
+      Pmem.store img 3 99;
+      Pmem.store img 64 64;
+      Pmem.flush img 3;
+      Pmem.flush_range img 64 16;
+      Pmem.fence img;
+      Pmem.store img 700 0;
+      Pmem.flush_all img;
+      Alcotest.(check int) "region keeps its own writes" 99 (Pmem.load img 3);
+      Alcotest.(check bool) "file byte-identical" true
+        (String.equal before (read_file path));
+      let again = Pmem.load_image ~path in
+      Alcotest.(check int) "reload sees the original" 31 (Pmem.load again 3);
+      Alcotest.(check int) "reload sees the original tail" 7
+        (Pmem.load again 700))
+
 let test_parallel_cas_counter () =
   let r = Pmem.create ~size_bytes:4096 () in
   let domains = 4 and per = 10_000 in
@@ -406,6 +468,12 @@ let () =
           Alcotest.test_case "posted flush reaches disk at fence" `Quick
             test_file_posted_flush_not_on_disk;
           Alcotest.test_case "rejects garbage" `Quick test_file_rejects_garbage;
+          Alcotest.test_case "rejects truncated image" `Quick
+            test_file_rejects_truncated;
+          Alcotest.test_case "rejects bad word count" `Quick
+            test_file_rejects_bad_word_count;
+          Alcotest.test_case "load_image never writes the file" `Quick
+            test_load_image_leaves_file;
         ] );
       ( "concurrency",
         [
