@@ -465,136 +465,6 @@ let fig_tail ctx =
         [ "ralloc"; "lrmalloc"; "makalu"; "pmdk" ])
     ctx.threads
 
-let bench_server ctx =
-  (* group-commit amortization made measurable: an in-process pkvd serving
-     pipelined client connections over a Unix socket, swept over worker
-     count x batch size.  Each client keeps a window of requests in flight
-     so batches actually fill; keys are disjoint per client (pure inserts,
-     no replace traffic) so the fences/op column isolates the commit fence:
-     ~1 ordering fence per SET plus 1/batch commit fences — the CSV should
-     show fences/op decreasing monotonically toward 1 as --batch grows. *)
-  Workloads.Harness.print_header "server"
-    "pkvd group commit: Kops/s and fences/op vs workers x batch";
-  let dir = Filename.temp_file "pkvd-bench" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let total_ops = scaled ctx 8_000 in
-  let conns = 8 and window = 64 in
-  let ack_hist = Obs.Histogram.make "server.ack_ns" in
-  List.iter
-    (fun workers ->
-      List.iter
-        (fun batch ->
-          let tag = Printf.sprintf "w%d-b%d" workers batch in
-          let heap_path = Filename.concat dir tag in
-          let sock = heap_path ^ ".sock" in
-          let config =
-            {
-              (Server.Core.default_config ~heap_path ()) with
-              workers;
-              batch;
-              batch_usec = 2_000;
-              queue_cap = 1_024;
-            }
-          in
-          let srv = Server.Core.start ~config (Unix.ADDR_UNIX sock) in
-          let st = Server.Core.store srv in
-          let before = Ralloc.stats st.heap in
-          let ack_before = Obs.Histogram.snapshot ack_hist in
-          let wl0 = Pmem.logical_bytes () and wp0 = Pmem.physical_bytes () in
-          (* request-span attribution: diff the write-class stage-sum
-             counters across the row so each row reports what share of a
-             SET's life was the (amortized) commit fence vs the batch-fill
-             park — the fence share must shrink as --batch grows *)
-          let stage_idx name =
-            let i = ref (-1) in
-            Array.iteri
-              (fun j s -> if s = name then i := j)
-              Server.Rtrace.stages;
-            !i
-          in
-          let st_fence = stage_idx "fence" and st_park = stage_idx "park" in
-          let fence0 = Server.Rtrace.sum_ns `Write st_fence
-          and park0 = Server.Rtrace.sum_ns `Write st_park
-          and tot0 = Server.Rtrace.total_sum_ns `Write in
-          let acked_total = Atomic.make 0 in
-          let per_conn = (total_ops + conns - 1) / conns in
-          let client cid =
-            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-            Unix.connect fd (Unix.ADDR_UNIX sock);
-            let next_key = ref (cid * 10_000_000) in
-            let acked = ref 0 in
-            while !acked < per_conn do
-              let w = min window (per_conn - !acked) in
-              for _ = 1 to w do
-                Server.Proto.write_frame fd
-                  (Server.Proto.encode_request
-                     (Server.Proto.Set (!next_key, !next_key)));
-                incr next_key
-              done;
-              for _ = 1 to w do
-                match Server.Proto.read_frame fd with
-                | Some p -> (
-                  match Server.Proto.decode_response p with
-                  | Ok Server.Proto.Ok -> incr acked
-                  | Ok Server.Proto.Busy -> () (* dropped; key skipped *)
-                  | _ -> failwith "bench server: unexpected reply")
-                | None -> failwith "bench server: connection closed"
-              done
-            done;
-            Unix.close fd;
-            Atomic.fetch_and_add acked_total !acked |> ignore
-          in
-          let t0 = Unix.gettimeofday () in
-          let threads = List.init conns (fun c -> Thread.create client c) in
-          List.iter Thread.join threads;
-          let dt = Unix.gettimeofday () -. t0 in
-          let d = Pmem.Stats.diff (Ralloc.stats st.heap) before in
-          let ad =
-            Obs.Histogram.diff (Obs.Histogram.snapshot ack_hist) ack_before
-          in
-          let acked = Atomic.get acked_total in
-          Server.Core.stop srv;
-          emit ctx
-            (Workloads.Harness.make_row ~figure:"server" ~allocator:tag
-               ~threads:workers ~metric:"Kops/s"
-               ~value:(float_of_int acked /. dt /. 1_000.)
-               ~flushes:d.flushes ~fences:d.fences
-               ~p50_ns:(float_of_int (Obs.Histogram.snap_quantile ad 0.5))
-               ~p99_ns:(float_of_int (Obs.Histogram.snap_quantile ad 0.99))
-               ~fences_per_op:(float_of_int d.fences /. float_of_int acked)
-               ~write_amp:
-                 (let dl = Pmem.logical_bytes () - wl0 in
-                  if dl = 0 then 0.
-                  else
-                    float_of_int (Pmem.physical_bytes () - wp0)
-                    /. float_of_int dl)
-               ());
-          let dtot = Server.Rtrace.total_sum_ns `Write - tot0 in
-          if dtot > 0 && acked > 0 then
-            Printf.printf
-              "             %-10s fence/op=%6.0fns park/op=%9.0fns \
-               fence-share=%5.2f%% park-share=%5.2f%%\n%!"
-              tag
-              (float_of_int (Server.Rtrace.sum_ns `Write st_fence - fence0)
-              /. float_of_int acked)
-              (float_of_int (Server.Rtrace.sum_ns `Write st_park - park0)
-              /. float_of_int acked)
-              (100. *. float_of_int (Server.Rtrace.sum_ns `Write st_fence - fence0)
-              /. float_of_int dtot)
-              (100. *. float_of_int (Server.Rtrace.sum_ns `Write st_park - park0)
-              /. float_of_int dtot);
-          List.iter
-            (fun ext ->
-              try Sys.remove (heap_path ^ ext) with Sys_error _ -> ())
-            [ ".sb"; ".meta"; ".desc" ];
-          Gc.full_major ())
-        [ 1; 4; 16; 64 ])
-    [ 1; 2; 4 ];
-  (* cumulative p99 attribution over the whole sweep *)
-  Server.Rtrace.report Format.std_formatter;
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ())
-
 let bench_server_scale ctx =
   (* Connection-scaling series for the event-driven server: does a fixed
      worker/loop pool hold throughput and the amortized-fence result as
@@ -603,9 +473,12 @@ let bench_server_scale ctx =
      request in flight — the adversarial shape for group commit, because
      batches only fill if the event loops can pump enough sockets per
      wake.  Keys are disjoint per connection (pure inserts), so the
-     fences/op column isolates the commit fence exactly like the
-     `server` figure: ~1 ordering fence per SET plus 1/batch commit
-     fences, and the column must stay flat as connections grow.
+     fences/op column isolates the commit fence: ~1 ordering fence per
+     SET plus 1/batch commit fences.  Batch 1 and batch 64 pin that
+     model at both ends, and the column must stay flat as connections
+     grow.  Each row also prints what share of a SET's life was the
+     (amortized) commit fence vs the batch-fill park, and the sweep
+     ends with the cumulative p99 attribution.
 
      The flush/fence columns count the persistence *protocol* only: the
      flight recorder durably logs every malloc/free at exactly 2 flushes
@@ -623,6 +496,14 @@ let bench_server_scale ctx =
   let conn_counts =
     List.filter (fun c -> c <= total_ops) [ 16; 64; 256; 1024; 4096 ]
   in
+  (* request-span attribution: the write-class stage sums are diffed
+     across each row *)
+  let stage_idx name =
+    let i = ref (-1) in
+    Array.iteri (fun j s -> if s = name then i := j) Server.Rtrace.stages;
+    !i
+  in
+  let st_fence = stage_idx "fence" and st_park = stage_idx "park" in
   List.iter
     (fun conns ->
       List.iter
@@ -652,6 +533,9 @@ let bench_server_scale ctx =
           let fl0 = flight_events () in
           let ack_before = Obs.Histogram.snapshot ack_hist in
           let wl0 = Pmem.logical_bytes () and wp0 = Pmem.physical_bytes () in
+          let fence0 = Server.Rtrace.sum_ns `Write st_fence
+          and park0 = Server.Rtrace.sum_ns `Write st_park
+          and tot0 = Server.Rtrace.total_sum_ns `Write in
           let acked_total = Atomic.make 0 in
           (* a handful of driver threads each own a slab of sockets and
              run window-1 rounds: send one SET on every owned socket,
@@ -734,13 +618,31 @@ let bench_server_scale ctx =
               "             %-10s flight ring: %d events deducted (%d \
                flushes, %d fences of telemetry)\n%!"
               tag fl (2 * fl) fl;
+          let dtot = Server.Rtrace.total_sum_ns `Write - tot0 in
+          if dtot > 0 && acked > 0 then begin
+            let fence =
+              float_of_int (Server.Rtrace.sum_ns `Write st_fence - fence0)
+            and park =
+              float_of_int (Server.Rtrace.sum_ns `Write st_park - park0)
+            in
+            Printf.printf
+              "             %-10s fence/op=%6.0fns park/op=%9.0fns \
+               fence-share=%5.2f%% park-share=%5.2f%%\n%!"
+              tag
+              (fence /. float_of_int acked)
+              (park /. float_of_int acked)
+              (100. *. fence /. float_of_int dtot)
+              (100. *. park /. float_of_int dtot)
+          end;
           List.iter
             (fun ext ->
               try Sys.remove (heap_path ^ ext) with Sys_error _ -> ())
             [ ".sb"; ".meta"; ".desc" ];
           Gc.full_major ())
-        [ 16; 64 ])
+        [ 1; 16; 64 ])
     conn_counts;
+  (* cumulative p99 attribution over the whole sweep *)
+  Server.Rtrace.report Format.std_formatter;
   (try Unix.rmdir dir with Unix.Unix_error _ -> ())
 
 let figures =
@@ -763,7 +665,6 @@ let figures =
     ("abl_tcache", ablation_tcache);
     ("abl_pipeline", ablation_pipeline);
     ("fig_tail", fig_tail);
-    ("server", bench_server);
     ("server_scale", bench_server_scale);
   ]
 

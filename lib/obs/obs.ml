@@ -970,10 +970,15 @@ module Prof = struct
   let filter_words = 8192
   let filter = Array.make filter_words 0
 
-  let filter_slot key =
+  (* A key's slot is its hash's low bits (the word) and bits 13..17 (the
+     bit).  Word and bit are derived at each use, not returned as a pair:
+     without flambda the pair would be allocated on every free. *)
+  let filter_hash key =
     let h = key * 0x3f58476d1ce4e5b9 in
-    let h = (h lxor (h lsr 29)) land max_int in
-    (h land (filter_words - 1), 1 lsl ((h lsr 13) land 31))
+    (h lxor (h lsr 29)) land max_int
+
+  let filter_word h = h land (filter_words - 1)
+  let filter_bit h = 1 lsl ((h lsr 13) land 31)
 
   (* Marks are rare (one per sample) and always made under [tally_lock],
      so the read-modify-write cannot lose bits; the flat int array keeps
@@ -982,12 +987,13 @@ module Prof = struct
      that set the bit, so the happens-before edge that delivered the
      address also delivers the bit. *)
   let filter_mark key =
-    let w, bit = filter_slot key in
-    filter.(w) <- filter.(w) lor bit
+    let h = filter_hash key in
+    let w = filter_word h in
+    filter.(w) <- filter.(w) lor filter_bit h
 
   let filter_probably key =
-    let w, bit = filter_slot key in
-    Array.unsafe_get filter w land bit <> 0
+    let h = filter_hash key in
+    Array.unsafe_get filter (filter_word h) land filter_bit h <> 0
 
   let sample_alloc ~key ~site ~size =
     let wb, wn = weights size in

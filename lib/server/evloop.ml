@@ -1,15 +1,14 @@
-(* Readiness-notification event loop: four backends (epoll / poll /
-   select / simulated) behind one interface.  See evloop.mli for the
+(* Readiness-notification event loop: three backends (epoll / poll /
+   simulated) behind one interface.  See evloop.mli for the
    contract.  The C stubs release the OCaml runtime lock around the
    blocking syscalls and report errors as -errno (EINTR reads as "no
    events"); event entries are packed int64s: (fd << 2) | read | write. *)
 
-type backend = Epoll | Poll | Select | Sim
+type backend = Epoll | Poll | Sim
 
 let backend_name = function
   | Epoll -> "epoll"
   | Poll -> "poll"
-  | Select -> "select"
   | Sim -> "sim"
 
 (* fds are small ints on Unix; the identity casts let us key hash tables
@@ -31,7 +30,7 @@ let mask_write = 2
 
 type t = {
   bk : backend;
-  (* fd -> interest mask; the source of truth for poll/select/sim set
+  (* fd -> interest mask; the source of truth for poll/sim set
      construction and for [modify]'s change detection under epoll *)
   interest : (int, int) Hashtbl.t;
   epfd : int; (* Epoll only, else -1 *)
@@ -54,14 +53,7 @@ let epoll_available =
      end
      else false)
 
-let default_backend () =
-  match Sys.getenv_opt "PKVD_EVLOOP" with
-  | Some "epoll" -> Epoll
-  | Some "poll" -> Poll
-  | Some "select" -> Select
-  | Some "sim" -> Sim
-  | Some other -> failwith ("PKVD_EVLOOP: unknown backend " ^ other)
-  | None -> if Lazy.force epoll_available then Epoll else Poll
+let default_backend () = if Lazy.force epoll_available then Epoll else Poll
 
 let mkbuf n = Bigarray.Array1.create Bigarray.Int64 Bigarray.c_layout n
 
@@ -229,34 +221,6 @@ let wait_poll t ~timeout_ms cb =
   done;
   !delivered
 
-let wait_select t ~timeout_ms cb =
-  let rl = ref [ t.wake_r ] and wl = ref [] in
-  Hashtbl.iter
-    (fun fd m ->
-      if m land mask_read <> 0 then rl := fd_of_int fd :: !rl;
-      if m land mask_write <> 0 then wl := fd_of_int fd :: !wl)
-    t.interest;
-  let tmo = if timeout_ms < 0 then -1.0 else float_of_int timeout_ms /. 1000. in
-  match Unix.select !rl !wl [] tmo with
-  | rs, ws, _ ->
-    (* merge per-fd so a both-ready fd gets one callback, like epoll *)
-    let ready = Hashtbl.create 16 in
-    List.iter (fun fd -> Hashtbl.replace ready (int_of_fd fd) mask_read) rs;
-    List.iter
-      (fun fd ->
-        let k = int_of_fd fd in
-        let old = Option.value (Hashtbl.find_opt ready k) ~default:0 in
-        Hashtbl.replace ready k (old lor mask_write))
-      ws;
-    let delivered = ref 0 in
-    Hashtbl.iter
-      (fun fd m ->
-        delivered :=
-          !delivered + deliver t cb (Int64.of_int ((fd lsl 2) lor m)))
-      ready;
-    !delivered
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
-
 let wait_sim t ~timeout_ms cb =
   let take () =
     Mutex.lock t.sim_m;
@@ -304,7 +268,6 @@ let wait t ~timeout_ms cb =
   match t.bk with
   | Epoll -> wait_epoll t ~timeout_ms cb
   | Poll -> wait_poll t ~timeout_ms cb
-  | Select -> wait_select t ~timeout_ms cb
   | Sim -> wait_sim t ~timeout_ms cb
 
 let close t =

@@ -3,14 +3,13 @@
     This is the I/O multiplexer under the pkvd connection layer.  A loop
     owns a set of file descriptors with per-fd read/write interest and
     blocks in {!wait} until some are ready, invoking a callback per ready
-    descriptor.  Four backends hide behind the same interface:
+    descriptor.  Three backends hide behind the same interface:
 
     - [Epoll] — epoll(7) via C stubs, O(ready) wakeups, the production
       backend on Linux;
-    - [Poll] — poll(2) via a C stub, portable, O(watched) per wait but
-      free of select's FD_SETSIZE ceiling;
-    - [Select] — [Unix.select], kept as the last-resort fallback and as
-      a cross-check in tests (inherits the FD_SETSIZE cap);
+    - [Poll] — poll(2) via a C stub, O(watched) per wait; the fallback
+      where epoll is missing, and the only backend a non-Linux build
+      can run;
     - [Sim] — simulated readiness: nothing blocks, descriptors become
       ready only when a test calls {!sim_mark}.  Deterministic unit
       tests for the connection state machine drive this backend.
@@ -27,19 +26,17 @@ type t
 type backend =
   | Epoll  (** epoll(7); Linux only *)
   | Poll  (** poll(2) C stub; portable *)
-  | Select  (** [Unix.select]; portable, capped at FD_SETSIZE *)
   | Sim  (** simulated readiness for deterministic tests *)
 (** Multiplexer implementations selectable at {!create} time. *)
 
 val default_backend : unit -> backend
 (** The backend {!create} picks when none is forced: [Epoll] where a
-    probe [epoll_create1] succeeds, otherwise [Poll].  The environment
-    variable [PKVD_EVLOOP] ([epoll]/[poll]/[select]/[sim]) overrides the
-    probe — handy for exercising fallbacks without recompiling. *)
+    probe [epoll_create1] succeeds, otherwise [Poll].  Tests reach the
+    other backends through [create ~backend]. *)
 
 val backend_name : backend -> string
-(** Lower-case name of a backend ([{"epoll"|"poll"|"select"|"sim"}]),
-    as accepted by [PKVD_EVLOOP] and printed in the pkvd banner. *)
+(** Lower-case name of a backend ([{"epoll"|"poll"|"sim"}]), as printed
+    in the pkvd banner. *)
 
 val create : ?backend:backend -> unit -> t
 (** Create an empty loop.  [?backend] forces an implementation (raises

@@ -89,6 +89,14 @@ let get_i64 c =
      pattern back onto the OCaml int that produced it *)
   !v
 
+(* int keys index a [Dstruct.Nmtree], which holds [0, max_key] only; an
+   out-of-range key is refused here rather than raising in a worker *)
+let get_key c =
+  let k = get_i64 c in
+  if k < 0 || k > Dstruct.Nmtree.max_key then
+    raise (Malformed (Printf.sprintf "int key %d out of range" k));
+  k
+
 let get_str c =
   need c 4;
   let n = ref 0 in
@@ -122,11 +130,11 @@ let decode : type a. what:string -> (int -> cursor -> a) -> string -> (a, string
 let decode_request =
   decode ~what:"request" (fun op c ->
       match op with
-      | 1 -> Get (get_i64 c)
+      | 1 -> Get (get_key c)
       | 2 ->
-        let k = get_i64 c in
+        let k = get_key c in
         Set (k, get_i64 c)
-      | 3 -> Del (get_i64 c)
+      | 3 -> Del (get_key c)
       | 4 -> Sget (get_str c)
       | 5 ->
         let k = get_str c in

@@ -63,7 +63,9 @@ val encode_request : request -> string
 (** Serialize a request payload (without the length prefix). *)
 
 val decode_request : string -> (request, string) result
-(** Parse a request payload; [Error] describes the malformation. *)
+(** Parse a request payload; [Error] describes the malformation.  A
+    GET/SET/DEL key outside [\[0, Dstruct.Nmtree.max_key\]] is one: the
+    int-keyed index cannot hold it. *)
 
 val encode_response : response -> string
 (** Serialize a response payload (without the length prefix). *)

@@ -4,30 +4,6 @@
 
 let mb = 1 lsl 20
 
-(* ---------------- Pqueue vs FIFO model ---------------- *)
-
-let prop_pqueue_fifo =
-  QCheck2.Test.make ~name:"pqueue behaves like a FIFO queue" ~count:30
-    QCheck2.Gen.(list_size (int_range 10 300) (option (int_bound 10_000)))
-    (fun program ->
-      (* Some v = enqueue v, None = dequeue *)
-      let heap = Ralloc.create ~name:"prop-q" ~size:(8 * mb) () in
-      let q = Dstruct.Pqueue.create heap ~root:0 in
-      let model = Queue.create () in
-      List.for_all
-        (fun op ->
-          match op with
-          | Some v ->
-            Queue.add v model;
-            Dstruct.Pqueue.enqueue q v
-          | None -> (
-            match (Dstruct.Pqueue.dequeue_free q, Queue.take_opt model) with
-            | None, None -> true
-            | Some a, Some b -> a = b
-            | _ -> false))
-        program
-      && Dstruct.Pqueue.length q = Queue.length model)
-
 (* ---------------- Pstack vs LIFO model ---------------- *)
 
 let prop_pstack_lifo =
@@ -50,6 +26,30 @@ let prop_pstack_lifo =
             | _ -> false))
         program
       && Dstruct.Pstack.length s = Stack.length model)
+
+(* ---------------- Msqueue vs FIFO model ---------------- *)
+
+let prop_msqueue_fifo =
+  QCheck2.Test.make ~name:"msqueue behaves like a FIFO queue" ~count:30
+    QCheck2.Gen.(list_size (int_range 10 300) (option (int_bound 10_000)))
+    (fun program ->
+      (* Some v = enqueue v, None = dequeue *)
+      let a = Baselines.Allocators.make "ralloc" ~size:(8 * mb) in
+      let q = Dstruct.Msqueue.create a in
+      let model = Queue.create () in
+      List.for_all
+        (fun op ->
+          match op with
+          | Some v ->
+            Queue.add v model;
+            Dstruct.Msqueue.enqueue q v
+          | None -> (
+            match (Dstruct.Msqueue.dequeue q, Queue.take_opt model) with
+            | None, None -> true
+            | Some a, Some b -> a = b
+            | _ -> false))
+        program
+      && Dstruct.Msqueue.is_empty q = Queue.is_empty model)
 
 (* ------------- durability: completed sets survive crashes ------------- *)
 
@@ -78,38 +78,67 @@ let prop_phashmap_durable =
         (fun k v acc -> acc && Dstruct.Phashmap.get m k = Some v)
         model true)
 
-let prop_plog_durable =
-  QCheck2.Test.make ~name:"plog: exactly the appended records survive"
+let prop_nmtree_durable =
+  QCheck2.Test.make ~name:"nmtree: contents identical after crash+recover"
     ~count:15
-    QCheck2.Gen.(list_size (int_range 1 200) (string_size (int_range 0 40)))
-    (fun records ->
-      let heap = Ralloc.create ~name:"prop-l" ~size:(16 * mb) () in
-      Ralloc.set_eviction_rate heap 0.1;
-      let log = Dstruct.Plog.create ~segment_bytes:256 heap ~root:0 in
-      let ok = List.for_all (fun r -> Dstruct.Plog.append log r) records in
-      let heap, _ = Ralloc.crash_and_reopen heap in
-      let log = Dstruct.Plog.attach heap ~root:0 in
-      ignore (Ralloc.recover heap);
-      let _, bad = Dstruct.Plog.verify log in
-      ok && Dstruct.Plog.to_list log = records && bad = 0)
-
-let prop_pset_durable =
-  QCheck2.Test.make ~name:"pset: contents identical after crash+recover"
-    ~count:15
-    QCheck2.Gen.(list_size (int_range 5 200) (pair (int_bound 100) bool))
-    (fun ops ->
-      let heap = Ralloc.create ~name:"prop-ps" ~size:(16 * mb) () in
-      let s = Dstruct.Pset.create heap ~root:0 in
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 5 200) (pair (int_bound 100) (option nat)))
+        (int_bound 2))
+    (fun (ops, noise) ->
+      (* (k, Some v) = insert k v, (k, None) = delete k *)
+      let heap = Ralloc.create ~name:"prop-t" ~size:(16 * mb) () in
+      Ralloc.set_eviction_rate heap (float_of_int noise *. 0.25);
+      let t = Dstruct.Nmtree.create heap ~root:0 in
       List.iter
-        (fun (k, add) ->
-          if add then ignore (Dstruct.Pset.add s k)
-          else ignore (Dstruct.Pset.remove s k))
+        (fun (k, op) ->
+          match op with
+          | Some v -> ignore (Dstruct.Nmtree.insert t k v)
+          | None -> ignore (Dstruct.Nmtree.delete t k))
         ops;
-      let before = Dstruct.Pset.to_list s in
+      let contents t =
+        let l = ref [] in
+        Dstruct.Nmtree.iter (fun k v -> l := (k, v) :: !l) t;
+        List.sort compare !l
+      in
+      let before = contents t in
       let heap, _ = Ralloc.crash_and_reopen heap in
-      let s = Dstruct.Pset.attach heap ~root:0 in
+      let t = Dstruct.Nmtree.attach heap ~root:0 in
       ignore (Ralloc.recover heap);
-      Dstruct.Pset.to_list s = before)
+      Dstruct.Nmtree.check_invariants t;
+      contents t = before)
+
+let prop_pstack_durable =
+  QCheck2.Test.make ~name:"pstack: completed pushes and pops survive any crash"
+    ~count:15
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 5 200) (option (int_bound 10_000)))
+        (int_bound 2))
+    (fun (program, noise) ->
+      (* Some v = push v, None = pop *)
+      let heap = Ralloc.create ~name:"prop-sd" ~size:(8 * mb) () in
+      Ralloc.set_eviction_rate heap (float_of_int noise *. 0.25);
+      let s = Dstruct.Pstack.create heap ~root:0 in
+      let model = Stack.create () in
+      List.iter
+        (function
+          | Some v ->
+            ignore (Dstruct.Pstack.push s v);
+            Stack.push v model
+          | None ->
+            ignore (Dstruct.Pstack.pop_free s);
+            ignore (Stack.pop_opt model))
+        program;
+      let heap, _ = Ralloc.crash_and_reopen heap in
+      let s = Dstruct.Pstack.attach heap ~root:0 in
+      ignore (Ralloc.recover heap);
+      let rec drain acc =
+        match Dstruct.Pstack.pop_free s with
+        | Some v -> drain (v :: acc)
+        | None -> List.rev acc
+      in
+      drain [] = List.of_seq (Stack.to_seq model))
 
 (* -------- recovery is idempotent and eviction-rate independent -------- *)
 
@@ -156,35 +185,22 @@ let test_eviction_rate_sweep () =
 let test_cohabiting_structures () =
   let heap = Ralloc.create ~name:"cohabit" ~size:(32 * mb) () in
   let stack = Dstruct.Pstack.create heap ~root:0 in
-  let queue = Dstruct.Pqueue.create heap ~root:1 in
-  let tree = Dstruct.Nmtree.create heap ~root:2 in
-  let set = Dstruct.Pset.create heap ~root:3 in
-  let log = Dstruct.Plog.create heap ~root:4 in
-  let map = Dstruct.Phashmap.create heap ~root:5 ~buckets:64 in
+  let tree = Dstruct.Nmtree.create heap ~root:1 in
+  let map = Dstruct.Phashmap.create heap ~root:2 ~buckets:64 in
   for i = 1 to 200 do
     ignore (Dstruct.Pstack.push stack i);
-    ignore (Dstruct.Pqueue.enqueue queue i);
     ignore (Dstruct.Nmtree.insert tree i i);
-    ignore (Dstruct.Pset.add set i);
-    ignore (Dstruct.Plog.append log (string_of_int i));
     ignore (Dstruct.Phashmap.set map (string_of_int i) (string_of_int (i * 2)))
   done;
   let heap, _ = Ralloc.crash_and_reopen heap in
   let stack = Dstruct.Pstack.attach heap ~root:0 in
-  let queue = Dstruct.Pqueue.attach heap ~root:1 in
-  let tree = Dstruct.Nmtree.attach heap ~root:2 in
-  let set = Dstruct.Pset.attach heap ~root:3 in
-  let log = Dstruct.Plog.attach heap ~root:4 in
-  let map = Dstruct.Phashmap.attach heap ~root:5 in
+  let tree = Dstruct.Nmtree.attach heap ~root:1 in
+  let map = Dstruct.Phashmap.attach heap ~root:2 in
   ignore (Ralloc.recover heap);
   Alcotest.(check int) "stack" 200 (Dstruct.Pstack.length stack);
-  Alcotest.(check int) "queue" 200 (Dstruct.Pqueue.length queue);
   Alcotest.(check int) "tree" 200 (Dstruct.Nmtree.size tree);
-  Alcotest.(check int) "set" 200 (Dstruct.Pset.size set);
-  Alcotest.(check int) "log" 200 (Dstruct.Plog.length log);
   Alcotest.(check int) "map" 200 (Dstruct.Phashmap.length map);
   Dstruct.Nmtree.check_invariants tree;
-  Dstruct.Pset.check_invariants set;
   Alcotest.(check (option string)) "map value" (Some "84")
     (Dstruct.Phashmap.get map "42")
 
@@ -193,14 +209,14 @@ let () =
     [
       ( "models",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_pqueue_fifo; prop_pstack_lifo ] );
+          [ prop_pstack_lifo; prop_msqueue_fifo ] );
       ( "durability",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_phashmap_durable;
-            prop_plog_durable;
-            prop_pset_durable;
             prop_recovery_idempotent;
+            prop_nmtree_durable;
+            prop_pstack_durable;
           ] );
       ( "sweeps",
         [

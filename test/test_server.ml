@@ -10,18 +10,37 @@ let mb = 1 lsl 20
 
 (* ------------------------- protocol round-trip ------------------------- *)
 
-(* Full-range keys: uniform ints plus the sign/overflow edge cases, so the
-   i64 encoding's two's-complement wraparound is actually exercised. *)
-let gen_key =
+(* Full-range ints: uniform ints plus the sign/overflow edge cases, so the
+   i64 encoding's two's-complement wraparound is actually exercised.  They
+   ride in values; int keys must lie in [0, Nmtree.max_key]. *)
+let gen_int =
   QCheck2.Gen.(
     oneof [ int; oneofl [ min_int; max_int; -1; 0; 1; 1 lsl 62 ] ])
+
+let max_key = Dstruct.Nmtree.max_key
+
+let gen_key =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun k -> k land max_int mod (max_key + 1)) int;
+        oneofl [ 0; 1; max_key ];
+      ])
+
+let gen_bad_key =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun k -> k lor min_int) int;
+        oneofl [ min_int; -1; max_key + 1; max_int ];
+      ])
 
 let gen_request =
   QCheck2.Gen.(
     oneof
       [
         map (fun k -> Proto.Get k) gen_key;
-        map2 (fun k v -> Proto.Set (k, v)) gen_key gen_key;
+        map2 (fun k v -> Proto.Set (k, v)) gen_key gen_int;
         map (fun k -> Proto.Del k) gen_key;
         map (fun k -> Proto.Sget k) string;
         map2 (fun k v -> Proto.Sset (k, v)) string string;
@@ -34,7 +53,7 @@ let gen_response =
     oneof
       [
         oneofl [ Proto.Ok; Proto.Not_found; Proto.Busy ];
-        map (fun v -> Proto.Value v) gen_key;
+        map (fun v -> Proto.Value v) gen_int;
         map (fun s -> Proto.Svalue s) string;
         map (fun s -> Proto.Text s) string;
         map (fun s -> Proto.Error s) string;
@@ -49,6 +68,17 @@ let prop_response_roundtrip =
   QCheck2.Test.make ~name:"response encode/decode round-trip" ~count:500
     gen_response (fun resp ->
       Proto.decode_response (Proto.encode_response resp) = Stdlib.Ok resp)
+
+(* An int key the index cannot hold is a malformed request: decode refuses
+   it, so no worker ever sees it. *)
+let prop_request_bad_key =
+  QCheck2.Test.make ~name:"out-of-range int key never decodes" ~count:200
+    QCheck2.Gen.(pair gen_bad_key gen_int)
+    (fun (k, v) ->
+      List.for_all
+        (fun req ->
+          Result.is_error (Proto.decode_request (Proto.encode_request req)))
+        [ Proto.Get k; Proto.Set (k, v); Proto.Del k ])
 
 (* A mangled frame must produce [Error _], never an exception and never a
    silent wrong parse of a *different* payload length. *)
@@ -150,6 +180,44 @@ let recv fd =
     match Proto.decode_response p with
     | Stdlib.Ok r -> r
     | Stdlib.Error e -> Alcotest.fail ("bad response frame: " ^ e))
+
+(* ------------------------ out-of-range int keys ------------------------ *)
+
+(* A SET or DEL whose key the int index cannot hold is answered ERROR, and
+   it harms neither its connection nor the worker behind it: later
+   requests on the same connection are served and the server stops
+   cleanly. *)
+let test_out_of_range_key () =
+  let base = temp_base () in
+  let sock = base ^ ".sock" in
+  let config =
+    {
+      (Core.default_config ~heap_path:base ()) with
+      heap_size = 32 * mb;
+      workers = 1;
+    }
+  in
+  let srv = Core.start ~config (Unix.ADDR_UNIX sock) in
+  let fd = connect sock in
+  (* a reply that never comes fails the test instead of hanging it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  List.iter
+    (fun req ->
+      send fd req;
+      match recv fd with
+      | Proto.Error _ -> ()
+      | _ ->
+        Alcotest.failf "%s of a bad key: expected ERROR" (Proto.op_name req))
+    [
+      Proto.Set (-1, 1); Proto.Del (-1); Proto.Set (max_int, 1); Proto.Del max_int;
+    ];
+  send fd (Proto.Set (7, 70));
+  Alcotest.(check bool) "later SET answered" true (recv fd = Proto.Ok);
+  send fd (Proto.Get 7);
+  Alcotest.(check bool) "later GET answered" true (recv fd = Proto.Value 70);
+  Unix.close fd;
+  Core.stop srv;
+  cleanup_heap base
 
 (* ------------------------- BUSY backpressure ---------------------------- *)
 
@@ -639,73 +707,161 @@ let test_conn_backpressure () =
   Conn.set_eof c;
   Alcotest.(check bool) "idle after eof + drain" true (Conn.idle c)
 
-(* --------------------- evloop simulated backend ------------------------ *)
+(* ----------------------------- evloop --------------------------------- *)
 
-(* The Sim backend never touches the kernel: readiness is whatever the
-   test marks, waits with marked events return them without sleeping, and
-   a zero timeout never blocks — the deterministic substrate the conn /
-   core tests build on. *)
-let test_evloop_sim () =
+(* One script per behaviour, each run on every backend.  Readiness comes
+   from a socketpair: on the kernel backends a byte from the peer makes an
+   end readable (and a socket end is always writable); on Sim the test
+   latches the same readiness with [sim_mark].  Delivery consumes a Sim
+   mark, while kernel readiness lasts until the byte is read, so [drain]
+   reads it there.  On Sim nothing blocks and nothing touches the kernel —
+   the deterministic substrate the conn / core tests build on. *)
+type evloop_fixture = {
+  ev : Server.Evloop.t;
+  a : Unix.file_descr;
+  b : Unix.file_descr;
+  make_ready : Unix.file_descr -> peer:Unix.file_descr -> unit;
+  drain : Unix.file_descr -> unit;
+  wait : int -> (Unix.file_descr * bool * bool) list;
+}
+
+let with_evloop backend script () =
   let module Ev = Server.Evloop in
-  let ev = Ev.create ~backend:Ev.Sim () in
-  Alcotest.(check string) "backend name" "sim" (Ev.backend_name (Ev.backend ev));
-  let r1, w1 = Unix.pipe () in
+  let ev = Ev.create ~backend () in
+  let sim = backend = Ev.Sim in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let make_ready fd ~peer =
+    if sim then Ev.sim_mark ~readable:true ~writable:true ev fd
+    else ignore (Unix.write_substring peer "x" 0 1)
+  in
+  let drain fd = if not sim then ignore (Unix.read fd (Bytes.create 8) 0 8) in
+  let wait timeout_ms =
+    let got = ref [] in
+    let n =
+      Ev.wait ev ~timeout_ms (fun fd ~readable ~writable ->
+          got := (fd, readable, writable) :: !got)
+    in
+    Alcotest.(check int) "count = callbacks" (List.length !got) n;
+    !got
+  in
   Fun.protect
     ~finally:(fun () ->
-      Unix.close r1;
-      Unix.close w1)
+      Ev.close ev;
+      Unix.close a;
+      Unix.close b)
     (fun () ->
-      Ev.add ev r1 ~read:true ~write:false;
-      Alcotest.(check bool) "mem" true (Ev.mem ev r1);
-      Alcotest.(check int) "size" 1 (Ev.size ev);
-      let quiet =
-        Ev.wait ev ~timeout_ms:0 (fun _ ~readable:_ ~writable:_ -> ())
-      in
-      Alcotest.(check int) "no marks, no events" 0 quiet;
-      (* latched readiness is delivered once, masked by interest *)
-      Ev.sim_mark ~readable:true ~writable:true ev r1;
-      let got = ref [] in
-      let n =
-        Ev.wait ev ~timeout_ms:0 (fun fd ~readable ~writable ->
-            got := (fd, readable, writable) :: !got)
-      in
-      Alcotest.(check int) "one event" 1 n;
-      (match !got with
-      | [ (fd, rd, wr) ] ->
-        Alcotest.(check bool) "event on the marked fd" true (fd = r1);
-        Alcotest.(check bool) "readable delivered" true rd;
-        Alcotest.(check bool) "write bit masked by interest" false wr
-      | _ -> Alcotest.fail "expected exactly one event");
-      let again =
-        Ev.wait ev ~timeout_ms:0 (fun _ ~readable:_ ~writable:_ -> ())
-      in
-      Alcotest.(check int) "mark consumed by delivery" 0 again;
-      (* marks on fds without interest park until interest arrives *)
-      Ev.sim_mark ~readable:true ev w1;
-      let none =
-        Ev.wait ev ~timeout_ms:0 (fun _ ~readable:_ ~writable:_ -> ())
-      in
-      Alcotest.(check int) "no interest, no delivery" 0 none;
-      Ev.add ev w1 ~read:true ~write:false;
-      let late =
-        Ev.wait ev ~timeout_ms:0 (fun _ ~readable:_ ~writable:_ -> ())
-      in
-      Alcotest.(check int) "parked mark delivered on add" 1 late;
-      (* remove clears any latched readiness *)
-      Ev.sim_mark ~readable:true ev r1;
-      Ev.remove ev r1;
-      Ev.add ev r1 ~read:true ~write:false;
-      let cleared =
-        Ev.wait ev ~timeout_ms:0 (fun _ ~readable:_ ~writable:_ -> ())
-      in
-      Alcotest.(check int) "remove clears the latch" 0 cleared;
-      (* a cross-thread wakeup makes even an infinite wait return *)
-      Ev.wakeup ev;
-      let woken =
-        Ev.wait ev ~timeout_ms:(-1) (fun _ ~readable:_ ~writable:_ -> ())
-      in
-      Alcotest.(check int) "wakeup returns promptly" 0 woken;
-      Ev.close ev)
+      Alcotest.(check string) "backend name" (Ev.backend_name backend)
+        (Ev.backend_name (Ev.backend ev));
+      script { ev; a; b; make_ready; drain; wait })
+
+let check_one what ~fd ~readable ~writable = function
+  | [ (f, rd, wr) ] ->
+    Alcotest.(check bool) (what ^ ": the ready fd") true (f = fd);
+    Alcotest.(check bool) (what ^ ": readable") readable rd;
+    Alcotest.(check bool) (what ^ ": writable") writable wr
+  | evs -> Alcotest.failf "%s: %d events, expected 1" what (List.length evs)
+
+let check_none what evs = Alcotest.(check int) what 0 (List.length evs)
+
+(* add/remove keep the watched set, readiness is reported through the
+   fd's interest, and a removed fd is not reported — re-adding it brings
+   back nothing stale *)
+let evloop_add_remove fx =
+  let module Ev = Server.Evloop in
+  Ev.add fx.ev fx.a ~read:true ~write:false;
+  Alcotest.(check bool) "mem" true (Ev.mem fx.ev fx.a);
+  Alcotest.(check int) "size" 1 (Ev.size fx.ev);
+  check_none "nothing ready, no events" (fx.wait 0);
+  fx.make_ready fx.a ~peer:fx.b;
+  check_one "read interest" ~fd:fx.a ~readable:true ~writable:false
+    (fx.wait 0);
+  fx.drain fx.a;
+  check_none "drained, no events" (fx.wait 0);
+  fx.make_ready fx.a ~peer:fx.b;
+  Ev.remove fx.ev fx.a;
+  Alcotest.(check bool) "removed" false (Ev.mem fx.ev fx.a);
+  Alcotest.(check int) "size after remove" 0 (Ev.size fx.ev);
+  check_none "removed fd not reported" (fx.wait 0);
+  fx.drain fx.a;
+  Ev.add fx.ev fx.a ~read:true ~write:false;
+  check_none "re-added, nothing stale" (fx.wait 0)
+
+(* a read+write-ready fd gets one callback carrying both bits, and
+   modifying the interest back drops the write readiness *)
+let evloop_modify fx =
+  let module Ev = Server.Evloop in
+  Ev.add fx.ev fx.a ~read:true ~write:false;
+  Ev.modify fx.ev fx.a ~read:true ~write:true;
+  fx.make_ready fx.a ~peer:fx.b;
+  check_one "read+write interest" ~fd:fx.a ~readable:true ~writable:true
+    (fx.wait 0);
+  fx.drain fx.a;
+  Ev.modify fx.ev fx.a ~read:true ~write:false;
+  check_none "modified back, no events" (fx.wait 0)
+
+(* write-only interest reports only the write bit, even on an fd that
+   is also readable *)
+let evloop_write_only fx =
+  let module Ev = Server.Evloop in
+  Ev.add fx.ev fx.a ~read:false ~write:true;
+  fx.make_ready fx.a ~peer:fx.b;
+  check_one "write interest" ~fd:fx.a ~readable:false ~writable:true
+    (fx.wait 0);
+  fx.drain fx.a;
+  Ev.modify fx.ev fx.a ~read:true ~write:false;
+  check_none "read interest, drained, no events" (fx.wait 0)
+
+(* readiness on an unwatched fd is reported once it is added *)
+let evloop_ready_before_add fx =
+  let module Ev = Server.Evloop in
+  Ev.add fx.ev fx.a ~read:true ~write:false;
+  fx.make_ready fx.b ~peer:fx.a;
+  check_none "no interest, no delivery" (fx.wait 0);
+  Ev.add fx.ev fx.b ~read:true ~write:false;
+  check_one "ready before add" ~fd:fx.b ~readable:true ~writable:false
+    (fx.wait 0);
+  fx.drain fx.b;
+  check_none "drained, no events" (fx.wait 0)
+
+(* wakeups coalesce, and each makes even an infinite wait return *)
+let evloop_wakeup fx =
+  let module Ev = Server.Evloop in
+  Ev.add fx.ev fx.a ~read:true ~write:false;
+  Ev.wakeup fx.ev;
+  Ev.wakeup fx.ev;
+  check_none "wakeup returns" (fx.wait (-1));
+  check_none "coalesced, none left" (fx.wait 0);
+  let waker =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.05;
+        Ev.wakeup fx.ev)
+      ()
+  in
+  check_none "cross-thread wakeup unblocks" (fx.wait (-1));
+  Thread.join waker
+
+let evloop_cases =
+  let module Ev = Server.Evloop in
+  let backends =
+    (if Ev.default_backend () = Ev.Epoll then [ Ev.Epoll ] else [])
+    @ [ Ev.Poll; Ev.Sim ]
+  in
+  List.concat_map
+    (fun bk ->
+      List.map
+        (fun (what, script) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s: %s" (Ev.backend_name bk) what)
+            `Quick (with_evloop bk script))
+        [
+          ("add, remove", evloop_add_remove);
+          ("read+write-ready fd, one callback", evloop_modify);
+          ("write-only interest", evloop_write_only);
+          ("ready before add", evloop_ready_before_add);
+          ("wakeup unblocks an infinite wait", evloop_wakeup);
+        ])
+    backends
 
 let () =
   Alcotest.run "server"
@@ -716,6 +872,7 @@ let () =
             prop_request_roundtrip;
             prop_response_roundtrip;
             prop_request_truncation;
+            prop_request_bad_key;
           ] );
       ( "squeue",
         [
@@ -731,11 +888,7 @@ let () =
             Alcotest.test_case "pipeline + write backpressure" `Quick
               test_conn_backpressure;
           ] );
-      ( "evloop",
-        [
-          Alcotest.test_case "sim backend is deterministic" `Quick
-            test_evloop_sim;
-        ] );
+      ("evloop", evloop_cases);
       ( "service",
         [
           Alcotest.test_case "BUSY backpressure" `Quick test_busy_backpressure;
@@ -743,6 +896,8 @@ let () =
             test_crash_during_serve;
           Alcotest.test_case "graceful stop commits" `Quick
             test_graceful_stop_commits;
+          Alcotest.test_case "out-of-range int key" `Quick
+            test_out_of_range_key;
         ] );
       ( "rtrace",
         [
