@@ -480,12 +480,10 @@ let bench_server_scale ctx =
      (amortized) commit fence vs the batch-fill park, and the sweep
      ends with the cumulative p99 attribution.
 
-     The flush/fence columns count the persistence *protocol* only: the
-     flight recorder durably logs every malloc/free at exactly 2 flushes
-     + 1 fence per event (see Obs.Flight.record), and that telemetry
-     cost — measured precisely by the ring's event counter — is deducted
-     so the row reports what the commit path itself pays.  The deduction
-     is printed once per sweep so nothing is silently dropped. *)
+     The flush/fence columns are the raw Ralloc.stats counts, exactly
+     what the simulated hardware paid: the flight recorder logs only
+     rare lifecycle events, never a per-op malloc/free, so nothing is
+     deducted. *)
   Workloads.Harness.print_header "server_scale"
     "pkvd event loops: Kops/s and fences/op vs connections x batch";
   let dir = Filename.temp_file "pkvd-scale" "" in
@@ -524,13 +522,7 @@ let bench_server_scale ctx =
           in
           let srv = Server.Core.start ~config (Unix.ADDR_UNIX sock) in
           let st = Server.Core.store srv in
-          let flight_events () =
-            match Ralloc.flight st.heap with
-            | Some f -> Obs.Flight.total_recorded f
-            | None -> 0
-          in
           let before = Ralloc.stats st.heap in
-          let fl0 = flight_events () in
           let ack_before = Obs.Histogram.snapshot ack_hist in
           let wl0 = Pmem.logical_bytes () and wp0 = Pmem.physical_bytes () in
           let fence0 = Server.Rtrace.sum_ns `Write st_fence
@@ -590,9 +582,6 @@ let bench_server_scale ctx =
           List.iter Thread.join threads;
           let dt = Unix.gettimeofday () -. t0 in
           let d = Pmem.Stats.diff (Ralloc.stats st.heap) before in
-          let fl = flight_events () - fl0 in
-          let flushes = max 0 (d.flushes - (2 * fl))
-          and fences = max 0 (d.fences - fl) in
           let ad =
             Obs.Histogram.diff (Obs.Histogram.snapshot ack_hist) ack_before
           in
@@ -602,10 +591,11 @@ let bench_server_scale ctx =
             (Workloads.Harness.make_row ~figure:"server_scale" ~allocator:tag
                ~threads:conns ~metric:"Kops/s"
                ~value:(float_of_int acked /. dt /. 1_000.)
-               ~flushes ~fences
+               ~flushes:d.flushes ~fences:d.fences
                ~p50_ns:(float_of_int (Obs.Histogram.snap_quantile ad 0.5))
                ~p99_ns:(float_of_int (Obs.Histogram.snap_quantile ad 0.99))
-               ~fences_per_op:(float_of_int fences /. float_of_int (max 1 acked))
+               ~fences_per_op:
+                 (float_of_int d.fences /. float_of_int (max 1 acked))
                ~write_amp:
                  (let dl = Pmem.logical_bytes () - wl0 in
                   if dl = 0 then 0.
@@ -613,11 +603,6 @@ let bench_server_scale ctx =
                     float_of_int (Pmem.physical_bytes () - wp0)
                     /. float_of_int dl)
                ());
-          if fl > 0 then
-            Printf.printf
-              "             %-10s flight ring: %d events deducted (%d \
-               flushes, %d fences of telemetry)\n%!"
-              tag fl (2 * fl) fl;
           let dtot = Server.Rtrace.total_sum_ns `Write - tot0 in
           if dtot > 0 && acked > 0 then begin
             let fence =

@@ -43,30 +43,28 @@ let () =
   (* Flight-recorder cost accounting.  The recorder's contract: exactly 2
      flushes + 1 fence per recorded event, identical in both pmem modes,
      and exactly 0 of each while disabled — including when disabling comes
-     from the OBS_DISABLED environment override rather than the flag. *)
-  let flight_counts mode ~record =
+     from the OBS_DISABLED environment override rather than the flag.
+     malloc/free log no event (1000 and 2000 pairs record the same
+     lifecycle events); set_root logs one per call. *)
+  let pair heap = Ralloc.free heap (Ralloc.malloc heap 64) in
+  let root heap = Ralloc.set_root heap 0 0 in
+  let flight_counts ?(op = pair) ?(n = 1000) mode ~record =
     Pmem.set_mode mode;
     Obs.Flight.set_enabled record;
     let heap = Ralloc.create ~name:"flight-smoke" ~size:(16 * mb) () in
-    let ev0 =
+    let events () =
       match Ralloc.flight heap with
       | Some f -> Obs.Flight.total_recorded f
       | None -> 0
     in
-    let before = Ralloc.stats heap in
-    for _ = 1 to 1000 do
-      let va = Ralloc.malloc heap 64 in
-      Ralloc.free heap va
+    let ev0 = events () and before = Ralloc.stats heap in
+    for _ = 1 to n do
+      op heap
     done;
     let d = Pmem.Stats.diff (Ralloc.stats heap) before in
-    let events =
-      (match Ralloc.flight heap with
-      | Some f -> Obs.Flight.total_recorded f
-      | None -> 0)
-      - ev0
-    in
+    let ev = events () - ev0 in
     Obs.Flight.set_enabled false;
-    (d.flushes, d.fences, events)
+    (d.flushes, d.fences, ev)
   in
   let check what cond =
     Printf.printf "%-52s %s\n" what (if cond then "ok" else "FAIL");
@@ -75,14 +73,26 @@ let () =
   let off_f, off_fe, off_ev = flight_counts Pmem.Pipelined ~record:false in
   let on_f, on_fe, on_ev = flight_counts Pmem.Pipelined ~record:true in
   let son_f, son_fe, son_ev = flight_counts Pmem.Synchronous ~record:true in
+  let _, _, on2_ev = flight_counts ~n:2000 Pmem.Pipelined ~record:true in
   check "flight disabled records nothing" (off_ev = 0);
-  check "flight enabled records the workload" (on_ev > 0);
+  check "flight enabled records the lifecycle events" (on_ev > 0);
+  check
+    (Printf.sprintf "malloc/free log no per-op event (%d vs %d)" on_ev on2_ev)
+    (on2_ev = on_ev);
   check
     (Printf.sprintf "flight cost is 2 flushes/event (%d events)" on_ev)
     (on_f - off_f = 2 * on_ev);
   check "flight cost is 1 fence/event" (on_fe - off_fe = on_ev);
   check "flight counts are mode-invariant"
     (son_f = on_f && son_fe = on_fe && son_ev = on_ev);
+  let roff_f, roff_fe, _ = flight_counts ~op:root Pmem.Pipelined ~record:false in
+  let ron_f, ron_fe, ron_ev = flight_counts ~op:root Pmem.Pipelined ~record:true in
+  let rson = flight_counts ~op:root Pmem.Synchronous ~record:true in
+  check "set_root logs one event per call" (ron_ev = 1000);
+  check "set_root flight cost is 2F+1F/event"
+    (ron_f - roff_f = 2 * ron_ev && ron_fe - roff_fe = ron_ev);
+  check "set_root flight counts are mode-invariant"
+    (rson = (ron_f, ron_fe, ron_ev));
   Unix.putenv "OBS_DISABLED" "1";
   let env_f, env_fe, env_ev = flight_counts Pmem.Pipelined ~record:true in
   check "OBS_DISABLED forces the recorder off" (not (Obs.Flight.enabled ()));
@@ -91,13 +101,31 @@ let () =
     (env_f = off_f && env_fe = off_fe);
   Unix.putenv "OBS_DISABLED" "0";
   Pmem.set_mode Pmem.Pipelined;
+  (* With metrics, spans and the recorder all on, a warm malloc/free
+     pair allocates no OCaml words: 100k pairs after a first one (which
+     sets up the caches and superblock) stay within 256 words. *)
+  let all_obs b =
+    Obs.set_enabled b; Obs.Span.set_enabled b; Obs.Flight.set_enabled b
+  in
+  all_obs true;
+  let heap = Ralloc.create ~name:"words-smoke" ~size:(16 * mb) () in
+  pair heap;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    pair heap
+  done;
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  all_obs false;
+  check
+    (Printf.sprintf "obs-on malloc/free allocates <= 256 words (%d/100k)" words)
+    (words <= 256);
   if !failed then begin
     prerr_endline
       "perf_smoke: flight-recorder cost accounting violated its contract";
     exit 1
   end;
-  print_endline "perf_smoke: flight recorder is 2F+1F/event, mode-invariant, \
-                 free when off";
+  print_endline "perf_smoke: flight recorder is 2F+1F/event, lifecycle-only, \
+                 mode-invariant, free when off";
 
   (* Persistency-checker zero-cost contract.  The checker is compiled into
      every pmem primitive; while disabled it must be invisible: identical

@@ -188,12 +188,12 @@ module Histogram = struct
       let s = shard () in
       ignore (Atomic.fetch_and_add t.buckets.(s).(bucket_of v) 1);
       ignore (Atomic.fetch_and_add t.sums.(s) v);
+      (* a loop, not a local recursive closure, so it never allocates *)
       let m = t.maxs.(s) in
-      let rec raise_max () =
-        let cur = Atomic.get m in
-        if v > cur && not (Atomic.compare_and_set m cur v) then raise_max ()
-      in
-      raise_max ()
+      let cur = ref (Atomic.get m) in
+      while v > !cur && not (Atomic.compare_and_set m !cur v) do
+        cur := Atomic.get m
+      done
     end
 
   type snap = { counts : int array; sum : int; max_v : int }
@@ -668,14 +668,14 @@ module Flight = struct
 
   (* 62-bit mix of the six entry fields (splitmix-style finalizer steps,
      wrapping OCaml multiplication), forced nonzero so a zeroed slot can
-     never look checksummed. *)
+     never look checksummed.  Straight-line, so it allocates nothing. *)
+  let mix h v =
+    let h = h lxor (v + 0x1e3779b97f4a7c15 + (h lsl 6) + (h lsr 2)) in
+    let h = h * 0x3f58476d1ce4e5b9 in
+    h lxor (h lsr 27)
+
   let checksum seq kind a b c ts =
-    let mix h v =
-      let h = h lxor (v + 0x1e3779b97f4a7c15 + (h lsl 6) + (h lsr 2)) in
-      let h = h * 0x3f58476d1ce4e5b9 in
-      h lxor (h lsr 27)
-    in
-    let h = List.fold_left mix 0x52414C4C4F43 [ seq; kind; a; b; c; ts ] in
+    let h = mix (mix (mix (mix (mix (mix 0x52414C4C4F43 seq) kind) a) b) c) ts in
     let h = h land max_int in
     if h = 0 then 1 else h
 
@@ -1439,17 +1439,11 @@ module Tsdb = struct
     mutable acc_coarse_count : int;
   }
 
-  (* Same splitmix-style mix as the flight recorder's checksum, folded
-     over the whole record (header fields then every value word), forced
-     nonzero so a zeroed slot can never look checksummed. *)
-  let mix h v =
-    let h = h lxor (v + 0x1e3779b97f4a7c15 + (h lsl 6) + (h lsr 2)) in
-    let h = h * 0x3f58476d1ce4e5b9 in
-    h lxor (h lsr 27)
-
+  (* The flight recorder's mix folded over the whole record (header
+     fields then every value word), forced nonzero like its checksum. *)
   let checksum ~seq ~ts ~count value =
-    let h = mix (mix (mix 0x54534442 seq) ts) count in
-    let h = ref h in
+    let mix = Flight.mix in
+    let h = ref (mix (mix (mix 0x54534442 seq) ts) count) in
     for i = 0 to max_series - 1 do
       h := mix !h (value i)
     done;

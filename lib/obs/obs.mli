@@ -339,11 +339,12 @@ end
 
 (** {1 Persistent flight recorder}
 
-    A fixed-size ring of allocator lifecycle events living in simulated
-    NVM, written with flush/fence discipline so that after a crash the
-    last N events survive in the heap image and explain how the heap got
-    into its state — PR 1's volatile telemetry vanishes at exactly the
-    moment it is most useful, this does not.
+    A fixed-size ring of rare lifecycle events (superblocks, roots,
+    heap open/close, recovery, transactions, slow ops, SLO breaches)
+    living in simulated NVM, written with flush/fence discipline so that
+    after a crash the last N events survive in the heap image and explain
+    how the heap got into its state.  Nothing is recorded per operation:
+    [Ralloc.malloc]/[free] log no event and stay flush-free.
 
     The ring is position-independent: entries carry sequence numbers,
     event kinds and region {e offsets}, never virtual addresses, so an
@@ -371,10 +372,10 @@ module Flight : sig
       code back to a label for display. *)
   module Kind : sig
     val malloc : int
-    (** A block was allocated ([a]=size class, [b]=block offset). *)
+    (** A block was allocated (only in images from older builds). *)
 
     val free : int
-    (** A block was freed ([a]=size class, [b]=block offset). *)
+    (** A block was freed (only in images from older builds). *)
 
     val sb_provision : int
     (** A fresh superblock was carved from the region tail. *)

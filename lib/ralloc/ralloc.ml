@@ -142,9 +142,9 @@ let check_open t =
 (*                                                                    *)
 (* The persistent event ring lives in the metadata region's reserved  *)
 (* tail window (Layout.flight_base/words) through the abstract        *)
-(* Obs.Flight backend; see lib/obs.  Recording is gated on            *)
-(* Obs.Flight.enabled at every hook so the hot paths pay one flag     *)
-(* read when forensics are off.                                       *)
+(* Obs.Flight backend; see lib/obs.  Only rare lifecycle events are  *)
+(* recorded (superblocks, roots, open/close, recovery): malloc and    *)
+(* free log nothing, so their fast path stays flush- and fence-free.  *)
 (* ------------------------------------------------------------------ *)
 
 module FK = Obs.Flight.Kind
@@ -400,8 +400,7 @@ let rec expand t k =
     end;
     Obs.Counter.add obs_sb_provisioned k;
     let first = Layout.descriptor_of_offset used in
-    if Obs.Flight.enabled () then
-      flight_record t ~kind:FK.sb_provision ~a:k ~b:first ();
+    flight_record t ~kind:FK.sb_provision ~a:k ~b:first ();
     first
   end
   else expand t k
@@ -441,7 +440,7 @@ let tcaches t = (dls t).tcs
 let provision_superblock t c tc d =
   CK.set_site site_provision;
   Obs.Counter.incr obs_sb_acquire;
-  if Obs.Flight.enabled () then flight_record t ~kind:FK.sb_acquire ~a:c ~b:d ();
+  flight_record t ~kind:FK.sb_acquire ~a:c ~b:d ();
   let bsz = Size_class.block_size c in
   dstore t d Layout.d_class c;
   dstore t d Layout.d_bsize bsz;
@@ -485,8 +484,7 @@ let rec refill t c tc =
         (* fully freed while sitting on the partial list: retire it *)
         push_free t d;
         Obs.Counter.incr obs_sb_retire;
-        if Obs.Flight.enabled () then
-          flight_record t ~kind:FK.sb_retire ~a:c ~b:d ();
+        flight_record t ~kind:FK.sb_retire ~a:c ~b:d ();
         `Next
       end
       else if retries >= max_reserve_retries then begin
@@ -763,8 +761,7 @@ let malloc_large t size =
   if d < 0 then 0
   else begin
     Obs.Counter.add obs_sb_acquire k;
-    if Obs.Flight.enabled () then
-      flight_record t ~kind:FK.sb_acquire ~a:0 ~b:d ~c:k ();
+    flight_record t ~kind:FK.sb_acquire ~a:0 ~b:d ~c:k ();
     dstore t d Layout.d_class 0;
     dstore t d Layout.d_bsize (k * Layout.superblock_bytes);
     persist_desc t d;
@@ -777,8 +774,7 @@ let free_large t d =
   let total = dload t d Layout.d_bsize in
   let k = total / Layout.superblock_bytes in
   Obs.Counter.add obs_sb_retire k;
-  if Obs.Flight.enabled () then
-    flight_record t ~kind:FK.sb_retire ~a:0 ~b:d ~c:k ();
+  flight_record t ~kind:FK.sb_retire ~a:0 ~b:d ~c:k ();
   (* Invalidate the persisted large-block signature so a stale value can no
      longer revalidate this range during conservative recovery. *)
   dstore t d Layout.d_bsize 0;
@@ -822,8 +818,7 @@ let rec malloc_one t c tc =
           if a.state = Empty then begin
             push_free t d;
             Obs.Counter.incr obs_sb_retire;
-            if Obs.Flight.enabled () then
-              flight_record t ~kind:FK.sb_retire ~a:c ~b:d ()
+            flight_record t ~kind:FK.sb_retire ~a:c ~b:d ()
           end;
           malloc_one t c tc
         end
@@ -920,8 +915,6 @@ let malloc t size =
   if sp then
     Obs.Span.sink_add Obs.Span.ch_alloc
       (Obs.now_ns () - t0 - (Obs.Span.sink_get Obs.Span.ch_persist - p0));
-  if va <> 0 && Obs.Flight.enabled () then
-    flight_record t ~kind:FK.malloc ~a:c ~b:size ~c:(va - t.sb_base) ();
   if va <> 0 && Obs.Prof.on () then prof_note_alloc t ds ~va ~cls:c;
   va
 
@@ -937,10 +930,6 @@ let free t va =
       invalid_arg "Ralloc.free: address outside the heap";
     let d = Layout.descriptor_of_offset off in
     let c = dload t d Layout.d_class in
-    (* recorded before the free mutates metadata (free_large erases the
-       persisted block size this event reports) *)
-    if Obs.Flight.enabled () then
-      flight_record t ~kind:FK.free ~a:c ~b:(dload t d Layout.d_bsize) ~c:off ();
     if Obs.Prof.on () then prof_note_free t ~off ~d;
     if c = 0 then free_large t d
     else if not t.use_tcache then free_block_to_sb t d va
@@ -1182,7 +1171,7 @@ let create ?(name = "heap") ?(persist = true) ?sb_base ?expansion_sbs
     make_handle ~persist ?sb_base ?expansion_sbs ?tcache ~path:None ~name ~meta
       ~desc ~sb ()
   in
-  if Obs.Flight.enabled () then flight_record t ~kind:FK.heap_open ~a:0 ();
+  flight_record t ~kind:FK.heap_open ~a:0 ();
   t
 
 let file_names path = (path ^ ".meta", path ^ ".desc", path ^ ".sb")
@@ -1264,7 +1253,7 @@ let open_image ~path =
 let close t =
   check_open t;
   CK.set_site site_close;
-  if Obs.Flight.enabled () then flight_record t ~kind:FK.heap_close ();
+  flight_record t ~kind:FK.heap_close ();
   unregister_heap t;
   flush_thread_cache t;
   Pmem.flush_all t.meta;
@@ -1288,8 +1277,7 @@ let crash_and_reopen ?sb_base t =
   in
   let dirty = is_dirty nt in
   mark_dirty nt;
-  if Obs.Flight.enabled () then
-    flight_record nt ~kind:FK.heap_open ~a:(if dirty then 2 else 1) ();
+  flight_record nt ~kind:FK.heap_open ~a:(if dirty then 2 else 1) ();
   (nt, if dirty then Dirty_restart else Clean_restart)
 
 let set_eviction_rate t p =
@@ -1425,8 +1413,7 @@ let recover ?(domains = 1) t =
   let marks, reachable, _used, used_sbs = trace_reachable t in
   let reachable = ref reachable in
   let t_trace = Unix.gettimeofday () in
-  if Obs.Flight.enabled () then
-    flight_record t ~kind:FK.recovery_trace ~a:!reachable ();
+  flight_record t ~kind:FK.recovery_trace ~a:!reachable ();
   Obs.Trace.span "ralloc.recover.trace" s_trace;
   let s_rebuild = Obs.Trace.begin_span () in
   (* Steps 3 and 6-9: empty lists, then rebuild every descriptor.  Task
@@ -1525,8 +1512,7 @@ let recover ?(domains = 1) t =
   end;
   let t_end = Unix.gettimeofday () in
   Obs.Trace.span "ralloc.recover.rebuild" s_rebuild;
-  if Obs.Flight.enabled () then
-    flight_record t ~kind:FK.recovery_done ~a:reclaimed ~b:partials ();
+  flight_record t ~kind:FK.recovery_done ~a:reclaimed ~b:partials ();
   if Obs.on () then begin
     Obs.Counter.incr obs_recover_runs;
     Obs.Histogram.record obs_recover_trace_ns

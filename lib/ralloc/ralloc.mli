@@ -292,11 +292,12 @@ val valid_block : t -> int -> bool
 
     Every heap reserves a window at the tail of its metadata region for a
     persistent event ring ({!Obs.Flight}): when [Obs.Flight.set_enabled
-    true], allocator lifecycle events — malloc/free with size class and
-    block offset, superblock provision/acquire/retire, root updates, heap
-    open/close, recovery phase boundaries — are recorded there with full
-    flush/fence discipline, so the last {!Layout.flight_capacity} events
-    survive a crash inside the heap image. *)
+    true], allocator lifecycle events — superblock
+    provision/acquire/retire, root updates, heap open/close, recovery
+    phase boundaries — are recorded there with full flush/fence
+    discipline, so the last {!Layout.flight_capacity} events survive a
+    crash inside the heap image.  {!malloc} and {!free} record nothing:
+    their fast path issues no flush and no fence. *)
 
 val flight : t -> Obs.Flight.t option
 (** The heap's attached flight recorder.  [None] only for images

@@ -39,6 +39,13 @@ trace=./server-smoke-trace.json
 pid=""
 lpid=""
 
+# Failure reasons go to stderr: dune drops the stdout log of a failed rule.
+fail() {
+  echo "server_smoke: $*" >&2
+  exit 1
+}
+trap 'echo "server_smoke: line $LINENO: \`$BASH_COMMAND\` exited $?" >&2' ERR
+
 cleanup() {
   [ -n "$pid" ] && kill -9 "$pid" 2>/dev/null || true
   [ -n "$lpid" ] && kill -9 "$lpid" 2>/dev/null || true
@@ -70,16 +77,16 @@ for _ in 1 2 3 4 5; do
     printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3 && cat <&3 && exec 3<&-) \
     && break || { metrics=""; sleep 0.3; }
 done
-[ -n "$metrics" ] || { echo "/metrics: fetch failed"; exit 1; }
-echo "$metrics" | grep -q "200 OK" || { echo "/metrics: no 200"; exit 1; }
+[ -n "$metrics" ] || fail "/metrics: fetch failed"
+echo "$metrics" | grep -q "200 OK" || fail "/metrics: no 200"
 echo "$metrics" | grep -q "^prof_sample_rate_bytes 4096" \
-  || { echo "/metrics: no prof_sample_rate_bytes"; exit 1; }
+  || fail "/metrics: no prof_sample_rate_bytes"
 echo "$metrics" | grep -q "^prof_samples_total" \
-  || { echo "/metrics: no prof_samples_total"; exit 1; }
+  || fail "/metrics: no prof_samples_total"
 echo "$metrics" | grep -q "^prof_live_bytes{site=" \
-  || { echo "/metrics: no per-site prof_live_bytes"; exit 1; }
+  || fail "/metrics: no per-site prof_live_bytes"
 echo "$metrics" | grep -q "^server_ops" \
-  || { echo "/metrics: no server counters"; exit 1; }
+  || fail "/metrics: no server counters"
 
 echo "== tsdb gauges + SLO breach counter in /metrics =="
 # the sampler ticks every 0.2s; retry until the first tick has published
@@ -96,9 +103,8 @@ for _ in $(seq 1 30); do
   sleep 0.3
 done
 [ -n "$tsdb_ok" ] || {
-  echo "/metrics: tsdb gauges or slo_breach_total never appeared"
-  echo "$m" | grep -E "^(tsdb_|slo_)" || true
-  exit 1
+  echo "$m" | grep -E "^(tsdb_|slo_)" >&2 || true
+  fail "/metrics: tsdb gauges or slo_breach_total never appeared"
 }
 echo "$metrics" | grep -E "^(tsdb_server_write_ops_s|slo_breach_total)"
 
@@ -113,15 +119,15 @@ echo "== hold 1024 idle + 64 active connections =="
 benchout=./server-smoke-bench.out
 "$PKVC" bench 5000 --socket "$sock" --conns 1024 --active 64 \
   --keys 100000 >"$benchout" 2>&1 \
-  || { echo "pkvc bench failed"; cat "$benchout"; exit 1; }
+  || { cat "$benchout" >&2; fail "pkvc bench failed"; }
 cat "$benchout"
 c=$(awk '/^bench: server_conns /{ print $3 }' "$benchout")
 [ -n "$c" ] && [ "$c" -ge 1024 ] \
-  || { echo "server_conns never reached 1024 (last: ${c:-none})"; exit 1; }
+  || fail "server_conns never reached 1024 (last: ${c:-none})"
 grep -q "1024 conns held" "$benchout" \
-  || { echo "pkvc bench: did not hold 1024 connections"; exit 1; }
+  || fail "pkvc bench: did not hold 1024 connections"
 grep -q "idle connections alive after load: ok" "$benchout" \
-  || { echo "pkvc bench: idle connections died under load"; exit 1; }
+  || fail "pkvc bench: idle connections died under load"
 
 echo "== kill -9 mid-load =="
 kill -9 "$pid"
@@ -135,20 +141,20 @@ timeline=$("$RSTAT" --timeline "$heap")
 echo "$timeline"
 samples=$(echo "$timeline" | awk '/^tsdb_samples_total/ { print $2 }')
 [ -n "$samples" ] && [ "$samples" -ge 2 ] \
-  || { echo "rstat --timeline: only '$samples' pre-crash samples survived"; exit 1; }
+  || fail "rstat --timeline: only '$samples' pre-crash samples survived"
 echo "$timeline" | grep -E '^tsdb_series name=server\.write_ops_s .* max=[1-9]' \
   >/dev/null \
-  || { echo "rstat --timeline: no pre-crash write throughput recorded"; exit 1; }
+  || fail "rstat --timeline: no pre-crash write throughput recorded"
 echo "$timeline" | grep -E '^tsdb_series name=server\.queue_depth\.w0 ' \
   >/dev/null \
-  || { echo "rstat --timeline: no pre-crash queue-depth series"; exit 1; }
+  || fail "rstat --timeline: no pre-crash queue-depth series"
 echo "$timeline" | grep -E '^tsdb_series name=alloc\.occupancy_pm .* max=[1-9]' \
   >/dev/null \
-  || { echo "rstat --timeline: no pre-crash occupancy recorded"; exit 1; }
+  || fail "rstat --timeline: no pre-crash occupancy recorded"
 # the unmeetable SLO rule must have left durable breach events in the
 # flight recorder (the lifetime kind counter survives ring wrap)
 echo "$timeline" | grep -E '^tsdb_slo_breach_events [1-9]' >/dev/null \
-  || { echo "rstat --timeline: no slo_breach flight events recorded"; exit 1; }
+  || fail "rstat --timeline: no slo_breach flight events recorded"
 
 echo "== audit of the dirty image =="
 "$RSTAT" --audit "$heap"
@@ -157,11 +163,11 @@ echo "== crash-surviving allocation-site attribution =="
 prof_out=$("$RSTAT" --prof "$heap")
 echo "$prof_out"
 echo "$prof_out" | grep -q "store\." \
-  || { echo "rstat --prof: no store.* site survived the crash"; exit 1; }
+  || fail "rstat --prof: no store.* site survived the crash"
 pct=$(echo "$prof_out" | awk '/^prof_attribution_pct/ { print $2 }')
-[ -n "$pct" ] || { echo "rstat --prof: no prof_attribution_pct line"; exit 1; }
+[ -n "$pct" ] || fail "rstat --prof: no prof_attribution_pct line"
 awk -v p="$pct" 'BEGIN { exit (p >= 90.0) ? 0 : 1 }' \
-  || { echo "rstat --prof: attribution $pct% < 90%"; exit 1; }
+  || fail "rstat --prof: attribution $pct% < 90%"
 
 echo "== persistency-checker replay of recovery =="
 PCHECK=1 "$RSTAT" --pcheck-summary "$heap"
@@ -174,10 +180,10 @@ pid=$!
 "$PKVC" ping --socket "$sock" --retry 300
 # key 0 -> 0 was in the first acked batch of the load; it must have survived
 v=$("$PKVC" get 0 --socket "$sock")
-[ "$v" = "0" ] || { echo "key 0 recovered as '$v', expected 0"; exit 1; }
+[ "$v" = "0" ] || fail "key 0 recovered as '$v', expected 0"
 "$PKVC" set 424242 7 --socket "$sock"
 v=$("$PKVC" get 424242 --socket "$sock")
-[ "$v" = "7" ] || { echo "post-recovery set read back '$v', expected 7"; exit 1; }
+[ "$v" = "7" ] || fail "post-recovery set read back '$v', expected 7"
 
 # a traced load, small enough to fit the trace ring
 "$PKVC" load 1000 --socket "$sock" --conns 2 --start 2000000
@@ -185,20 +191,20 @@ v=$("$PKVC" get 424242 --socket "$sock")
 echo "== pkvc top =="
 top=$("$PKVC" top --socket "$sock" --count 2 --interval 0.2 --raw)
 echo "$top"
-echo "$top" | grep -q "queue depth" || { echo "pkvc top: no queue depths"; exit 1; }
-echo "$top" | grep -q "stage share" || { echo "pkvc top: no stage breakdown"; exit 1; }
+echo "$top" | grep -q "queue depth" || fail "pkvc top: no queue depths"
+echo "$top" | grep -q "stage share" || fail "pkvc top: no stage breakdown"
 
 echo "== pkvc watch =="
 watch=$("$PKVC" watch --socket "$sock" --count 3 --interval 0.4 --raw)
 echo "$watch"
 echo "$watch" | grep -q "server.write_ops_s" \
-  || { echo "pkvc watch: no black-box series"; exit 1; }
+  || fail "pkvc watch: no black-box series"
 
 echo "== pkvc prof =="
 prof=$("$PKVC" prof --socket "$sock" --top 5)
 echo "$prof"
-echo "$prof" | grep -q "live_bytes" || { echo "pkvc prof: no table header"; exit 1; }
-echo "$prof" | grep -q "store\." || { echo "pkvc prof: no store.* site"; exit 1; }
+echo "$prof" | grep -q "live_bytes" || fail "pkvc prof: no table header"
+echo "$prof" | grep -q "store\." || fail "pkvc prof: no store.* site"
 
 echo "== graceful shutdown =="
 kill -TERM "$pid"

@@ -94,6 +94,28 @@ let test_torn_slot_detected () =
       Alcotest.(check (list int)) "recording continues over the tear" [ 1; 2 ]
         (List.map (fun (e : Obs.Flight.event) -> e.seq) evs))
 
+(* The entry checksum is part of the on-disk format: an image written by
+   any earlier build must still verify.  Pin one fixed entry's checksum
+   to the value the format has always produced. *)
+let test_checksum_pinned () =
+  with_ring (fun r b _ ->
+      let w = 24 (* header_words: slot 0 *) in
+      List.iteri
+        (fun i v -> b.Obs.Flight.store (w + i) v)
+        [ 1; Obs.Flight.Kind.free; 3; 4096; 16384; 1_000_000_007;
+          4451021621204804104 ];
+      b.Obs.Flight.flush w;
+      b.Obs.Flight.fence ();
+      Pmem.crash r;
+      let t' = reattach b in
+      Alcotest.(check int) "pinned entry is not torn" 0 (Obs.Flight.torn_slots t');
+      match Obs.Flight.tail t' with
+      | [ e ] ->
+        Alcotest.(check (list int)) "pinned entry parses"
+          [ 1; Obs.Flight.Kind.free; 3; 4096; 16384; 1_000_000_007 ]
+          [ e.seq; e.kind; e.a; e.arg_b; e.c; e.ts_ns ]
+      | evs -> Alcotest.failf "expected one entry, got %d" (List.length evs))
+
 let test_attach_rejects_garbage () =
   Pmem.set_latency ~flush_ns:0 ~fence_ns:0 ();
   let words = Obs.Flight.words_for ~capacity:8 in
@@ -247,6 +269,8 @@ let () =
             test_torn_slot_detected;
           Alcotest.test_case "attach rejects garbage" `Quick
             test_attach_rejects_garbage;
+          Alcotest.test_case "entry checksum pinned" `Quick
+            test_checksum_pinned;
         ] );
       ( "crash properties",
         List.map QCheck_alcotest.to_alcotest

@@ -67,13 +67,18 @@ let test_memcached () =
   Alcotest.(check bool) "positive throughput" true (kops > 0.0)
 
 let test_recovery_bench_linear () =
-  (* Fig 6's defining property: recovery time grows with reachable blocks *)
+  (* Fig 6's defining property: recovery work grows linearly with the
+     reachable blocks.  Asserted on the trace's block count, not on wall
+     time, which a loaded machine can invert. *)
   let r1 = Workloads.Recovery_bench.run Workloads.Recovery_bench.Stack ~blocks:5_000 in
   let r2 = Workloads.Recovery_bench.run Workloads.Recovery_bench.Stack ~blocks:50_000 in
   Alcotest.(check bool) "more blocks found" true (r2.reachable > r1.reachable);
   Alcotest.(check bool) "reachable close to target" true
     (abs (r1.reachable - 5_000) < 16);
-  Alcotest.(check bool) "time grows" true (r2.total_seconds > r1.total_seconds)
+  Alcotest.(check bool)
+    (Printf.sprintf "10x blocks, 10x traced (%d vs %d)" r2.reachable r1.reachable)
+    true
+    (abs (r2.reachable - (10 * r1.reachable)) < 160)
 
 let test_recovery_bench_tree () =
   let r = Workloads.Recovery_bench.run Workloads.Recovery_bench.Tree ~blocks:10_000 in
