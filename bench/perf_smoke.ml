@@ -53,9 +53,7 @@ let () =
     Obs.Flight.set_enabled record;
     let heap = Ralloc.create ~name:"flight-smoke" ~size:(16 * mb) () in
     let events () =
-      match Ralloc.flight heap with
-      | Some f -> Obs.Flight.total_recorded f
-      | None -> 0
+      Obs.Flight.total_recorded (Ralloc.blackbox heap).Obs.Blackbox.flight
     in
     let ev0 = events () and before = Ralloc.stats heap in
     for _ = 1 to n do
@@ -308,23 +306,15 @@ let () =
       Obs.Prof.set_enabled true
     end;
     let heap = Ralloc.create ~name:"prof-smoke" ~size:(16 * mb) () in
-    let ev0 =
-      match Ralloc.prov heap with
-      | Some r -> Obs.Prof.Ring.total_recorded r
-      | None -> 0
-    in
+    let ring = (Ralloc.blackbox heap).Obs.Blackbox.prov in
+    let ev0 = Obs.Prof.Ring.total_recorded ring in
     let before = Ralloc.stats heap in
     for _ = 1 to 3000 do
       let va = Ralloc.malloc heap 64 in
       Ralloc.free heap va
     done;
     let d = Pmem.Stats.diff (Ralloc.stats heap) before in
-    let entries =
-      (match Ralloc.prov heap with
-      | Some r -> Obs.Prof.Ring.total_recorded r
-      | None -> 0)
-      - ev0
-    in
+    let entries = Obs.Prof.Ring.total_recorded ring - ev0 in
     let samples = Obs.Prof.samples () in
     let no_tallies = Obs.Prof.stats () = [] in
     Obs.Prof.set_enabled false;
@@ -479,11 +469,7 @@ let () =
     Pmem.set_mode mode;
     Obs.Tsdb.set_enabled record;
     let heap = Ralloc.create ~name:"tsdb-smoke" ~size:(16 * mb) () in
-    let db =
-      match Ralloc.tsdb heap with
-      | Some d -> d
-      | None -> failwith "tsdb-smoke: heap has no tsdb window"
-    in
+    let db = (Ralloc.blackbox heap).Obs.Blackbox.tsdb in
     let sampler =
       Obs.Tsdb.Sampler.create db
         [ ("smoke.one", fun _ -> 1); ("smoke.two", fun _ -> 2) ]

@@ -43,20 +43,16 @@ let print_summary path heap status =
     (Ralloc.capacity_bytes heap)
     (Ralloc.capacity_bytes heap / 65536);
   Printf.printf "heap id:   %d\n" (Ralloc.heap_id heap);
-  (match Ralloc.flight heap with
-  | None -> print_endline "flight:    absent (image predates the recorder)"
-  | Some f ->
-    Printf.printf "flight:    %d events recorded (ring capacity %d, %d torn)\n"
-      (Obs.Flight.total_recorded f)
-      (Obs.Flight.capacity f) (Obs.Flight.torn_slots f))
+  let f = (Ralloc.blackbox heap).flight in
+  Printf.printf "flight:    %d events recorded (ring capacity %d, %d torn)\n"
+    (Obs.Flight.total_recorded f)
+    (Obs.Flight.capacity f) (Obs.Flight.torn_slots f)
 
 let print_census heap =
   Format.printf "%a@." Ralloc.Census.pp (Ralloc.census heap)
 
 let print_flight heap limit =
-  match Ralloc.flight heap with
-  | None -> print_endline "flight recorder: absent"
-  | Some f -> Format.printf "%a@." (Obs.Flight.pp_tail ~limit) f
+  Format.printf "%a@." (Obs.Flight.pp_tail ~limit) (Ralloc.blackbox heap).flight
 
 (* Prometheus text exposition: census + audit-free facts only, so it is
    cheap and side-effect free.  Offsets/ids are labels, not values. *)
@@ -88,16 +84,13 @@ let print_prom heap status =
         "ralloc_class_allocated_blocks{class=\"%d\",block_size=\"%d\"} %d\n"
         cs.size_class cs.block_size cs.allocated_blocks)
     c.classes;
-  match Ralloc.flight heap with
-  | None -> ()
-  | Some f ->
-    print_string "# TYPE ralloc_flight_events_total counter\n";
-    for k = 1 to 15 do
-      let n = Obs.Flight.kind_count f k in
-      if n > 0 then
-        Printf.printf "ralloc_flight_events_total{kind=\"%s\"} %d\n"
-          (Obs.Flight.Kind.name k) n
-    done
+  print_string "# TYPE ralloc_flight_events_total counter\n";
+  for k = 1 to 15 do
+    let n = Obs.Flight.kind_count (Ralloc.blackbox heap).flight k in
+    if n > 0 then
+      Printf.printf "ralloc_flight_events_total{kind=\"%s\"} %d\n"
+        (Obs.Flight.Kind.name k) n
+  done
 
 (* Chrome trace export: reconstruct recovery-phase spans from the flight
    tail.  recovery_begin .. recovery_trace is the tracing GC,
@@ -105,78 +98,76 @@ let print_prom heap status =
    microseconds relative to the oldest event in the tail, which is what
    chrome://tracing and Perfetto expect. *)
 let write_chrome heap file =
-  match Ralloc.flight heap with
-  | None -> fail "no flight recorder in this image: nothing to export"
-  | Some f ->
-    let events = Obs.Flight.tail f in
-    let t0 =
-      match events with [] -> 0 | e :: _ -> e.Obs.Flight.ts_ns
-    in
-    let us ts = float_of_int (ts - t0) /. 1000. in
-    let buf = Buffer.create 4096 in
-    let first = ref true in
-    let emit fmt =
-      Printf.ksprintf
-        (fun s ->
-          if !first then first := false else Buffer.add_string buf ",\n";
-          Buffer.add_string buf s)
-        fmt
-    in
-    Buffer.add_string buf "[\n";
-    let span name ts dur args =
-      emit
-        "{\"name\":\"%s\",\"cat\":\"recovery\",\"ph\":\"X\",\"ts\":%.3f,\
-         \"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":{%s}}"
-        name (us ts) (float_of_int dur /. 1000.) args
-    in
-    let instant e name args =
-      emit
-        "{\"name\":\"%s\",\"cat\":\"lifecycle\",\"ph\":\"i\",\"ts\":%.3f,\
-         \"s\":\"g\",\"pid\":1,\"tid\":1,\"args\":{%s}}"
-        name (us e.Obs.Flight.ts_ns) args
-    in
-    let begin_ev = ref None and trace_ev = ref None in
-    List.iter
-      (fun (e : Obs.Flight.event) ->
-        let k = e.kind in
-        if k = Obs.Flight.Kind.recovery_begin then begin_ev := Some e
-        else if k = Obs.Flight.Kind.recovery_trace then begin
-          (match !begin_ev with
-          | Some b ->
-            span "recovery.trace" b.ts_ns (e.ts_ns - b.ts_ns)
-              (Printf.sprintf "\"reachable_blocks\":%d" e.a)
-          | None -> ());
-          trace_ev := Some e
-        end
-        else if k = Obs.Flight.Kind.recovery_done then begin
-          (match !trace_ev with
-          | Some t ->
-            span "recovery.rebuild" t.ts_ns (e.ts_ns - t.ts_ns)
-              (Printf.sprintf "\"reclaimed\":%d,\"partial\":%d" e.a e.arg_b)
-          | None -> ());
-          (match !begin_ev with
-          | Some b ->
-            span "recovery" b.ts_ns (e.ts_ns - b.ts_ns)
-              (Printf.sprintf "\"superblocks\":%d" b.a)
-          | None -> ());
-          begin_ev := None;
-          trace_ev := None
-        end
-        else if k = Obs.Flight.Kind.heap_open then
-          instant e "heap_open"
-            (Printf.sprintf "\"status\":\"%s\""
-               (match e.a with
-               | 0 -> "fresh"
-               | 1 -> "clean"
-               | _ -> "dirty"))
-        else if k = Obs.Flight.Kind.heap_close then instant e "heap_close" "")
-      events;
-    Buffer.add_string buf "\n]\n";
-    let oc = open_out file in
-    Buffer.output_buffer oc buf;
-    close_out oc;
-    Printf.printf "chrome trace (%d flight events) written to %s\n"
-      (List.length events) file
+  let f = (Ralloc.blackbox heap).flight in
+  let events = Obs.Flight.tail f in
+  let t0 =
+    match events with [] -> 0 | e :: _ -> e.Obs.Flight.ts_ns
+  in
+  let us ts = float_of_int (ts - t0) /. 1000. in
+  let buf = Buffer.create 4096 in
+  let first = ref true in
+  let emit fmt =
+    Printf.ksprintf
+      (fun s ->
+        if !first then first := false else Buffer.add_string buf ",\n";
+        Buffer.add_string buf s)
+      fmt
+  in
+  Buffer.add_string buf "[\n";
+  let span name ts dur args =
+    emit
+      "{\"name\":\"%s\",\"cat\":\"recovery\",\"ph\":\"X\",\"ts\":%.3f,\
+       \"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":{%s}}"
+      name (us ts) (float_of_int dur /. 1000.) args
+  in
+  let instant e name args =
+    emit
+      "{\"name\":\"%s\",\"cat\":\"lifecycle\",\"ph\":\"i\",\"ts\":%.3f,\
+       \"s\":\"g\",\"pid\":1,\"tid\":1,\"args\":{%s}}"
+      name (us e.Obs.Flight.ts_ns) args
+  in
+  let begin_ev = ref None and trace_ev = ref None in
+  List.iter
+    (fun (e : Obs.Flight.event) ->
+      let k = e.kind in
+      if k = Obs.Flight.Kind.recovery_begin then begin_ev := Some e
+      else if k = Obs.Flight.Kind.recovery_trace then begin
+        (match !begin_ev with
+        | Some b ->
+          span "recovery.trace" b.ts_ns (e.ts_ns - b.ts_ns)
+            (Printf.sprintf "\"reachable_blocks\":%d" e.a)
+        | None -> ());
+        trace_ev := Some e
+      end
+      else if k = Obs.Flight.Kind.recovery_done then begin
+        (match !trace_ev with
+        | Some t ->
+          span "recovery.rebuild" t.ts_ns (e.ts_ns - t.ts_ns)
+            (Printf.sprintf "\"reclaimed\":%d,\"partial\":%d" e.a e.arg_b)
+        | None -> ());
+        (match !begin_ev with
+        | Some b ->
+          span "recovery" b.ts_ns (e.ts_ns - b.ts_ns)
+            (Printf.sprintf "\"superblocks\":%d" b.a)
+        | None -> ());
+        begin_ev := None;
+        trace_ev := None
+      end
+      else if k = Obs.Flight.Kind.heap_open then
+        instant e "heap_open"
+          (Printf.sprintf "\"status\":\"%s\""
+             (match e.a with
+             | 0 -> "fresh"
+             | 1 -> "clean"
+             | _ -> "dirty"))
+      else if k = Obs.Flight.Kind.heap_close then instant e "heap_close" "")
+    events;
+  Buffer.add_string buf "\n]\n";
+  let oc = open_out file in
+  Buffer.output_buffer oc buf;
+  close_out oc;
+  Printf.printf "chrome trace (%d flight events) written to %s\n"
+    (List.length events) file
 
 (* Crash-surviving provenance: replay the persistent provenance ring
    (sampled allocations minus their sampled frees), resolve site ids
@@ -185,59 +176,57 @@ let write_chrome heap file =
    would run — "which site allocated the blocks that survived the
    crash", split into reachable (live) and unreachable (leaked). *)
 let print_prof heap =
-  match Ralloc.prov heap with
-  | None -> print_endline "provenance: absent (image predates the profiler)"
-  | Some ring ->
-    let live = Obs.Prof.Ring.live ring in
-    Printf.printf
-      "provenance ring: %d recorded (%d allocs, %d frees, %d torn), %d \
-       sampled blocks still allocated\n"
-      (Obs.Prof.Ring.total_recorded ring)
-      (Obs.Prof.Ring.alloc_count ring)
-      (Obs.Prof.Ring.free_count ring)
-      (Obs.Prof.Ring.torn_slots ring)
-      (List.length live);
-    if live <> [] then begin
-      let reach = Ralloc.reachable_offsets heap in
-      (* site id -> (name option, samples, bytes, reachable_bytes) *)
-      let per_site = Hashtbl.create 32 in
-      let total = ref 0 and attributed = ref 0 in
-      List.iter
-        (fun (e : Obs.Prof.Ring.entry) ->
-          let name = Ralloc.prov_site_name heap e.psite in
-          let n, s, b, rb =
-            match Hashtbl.find_opt per_site e.psite with
-            | Some r -> r
-            | None -> (name, 0, 0, 0)
-          in
-          let reachable = reach e.poff in
-          Hashtbl.replace per_site e.psite
-            (n, s + 1, b + e.psize, if reachable then rb + e.psize else rb);
-          total := !total + e.psize;
-          if name <> None then attributed := !attributed + e.psize)
-        live;
-      let rows =
-        Hashtbl.fold (fun id r acc -> (id, r) :: acc) per_site []
-        |> List.sort (fun (_, (_, _, a, _)) (_, (_, _, b, _)) -> compare b a)
-      in
-      Printf.printf "%-28s %8s %12s %12s %12s\n" "site" "samples"
-        "sampled_bytes" "reachable" "leaked";
-      List.iter
-        (fun (id, (name, s, b, rb)) ->
-          Printf.printf "%-28s %8d %12d %12d %12d\n"
-            (match name with
-            | Some n -> n
-            | None -> Printf.sprintf "(site %d: name not persisted)" id)
-            s b rb (b - rb))
-        rows;
-      (* machine-readable attribution line for the crash-suite check:
-         the share of surviving sampled bytes whose site id resolves
-         against the persistent name table *)
-      Printf.printf "prof_sampled_live_bytes %d\n" !total;
-      Printf.printf "prof_attribution_pct %.1f\n"
-        (if !total = 0 then 100.0
-         else 100.0 *. float_of_int !attributed /. float_of_int !total)
-    end
+  let ring = (Ralloc.blackbox heap).prov in
+  let live = Obs.Prof.Ring.live ring in
+  Printf.printf
+    "provenance ring: %d recorded (%d allocs, %d frees, %d torn), %d \
+     sampled blocks still allocated\n"
+    (Obs.Prof.Ring.total_recorded ring)
+    (Obs.Prof.Ring.alloc_count ring)
+    (Obs.Prof.Ring.free_count ring)
+    (Obs.Prof.Ring.torn_slots ring)
+    (List.length live);
+  if live <> [] then begin
+    let reach = Ralloc.reachable_offsets heap in
+    (* site id -> (name option, samples, bytes, reachable_bytes) *)
+    let per_site = Hashtbl.create 32 in
+    let total = ref 0 and attributed = ref 0 in
+    List.iter
+      (fun (e : Obs.Prof.Ring.entry) ->
+        let name = Ralloc.prov_site_name heap e.psite in
+        let n, s, b, rb =
+          match Hashtbl.find_opt per_site e.psite with
+          | Some r -> r
+          | None -> (name, 0, 0, 0)
+        in
+        let reachable = reach e.poff in
+        Hashtbl.replace per_site e.psite
+          (n, s + 1, b + e.psize, if reachable then rb + e.psize else rb);
+        total := !total + e.psize;
+        if name <> None then attributed := !attributed + e.psize)
+      live;
+    let rows =
+      Hashtbl.fold (fun id r acc -> (id, r) :: acc) per_site []
+      |> List.sort (fun (_, (_, _, a, _)) (_, (_, _, b, _)) -> compare b a)
+    in
+    Printf.printf "%-28s %8s %12s %12s %12s\n" "site" "samples"
+      "sampled_bytes" "reachable" "leaked";
+    List.iter
+      (fun (id, (name, s, b, rb)) ->
+        Printf.printf "%-28s %8d %12d %12d %12d\n"
+          (match name with
+          | Some n -> n
+          | None -> Printf.sprintf "(site %d: name not persisted)" id)
+          s b rb (b - rb))
+      rows;
+    (* machine-readable attribution line for the crash-suite check:
+       the share of surviving sampled bytes whose site id resolves
+       against the persistent name table *)
+    Printf.printf "prof_sampled_live_bytes %d\n" !total;
+    Printf.printf "prof_attribution_pct %.1f\n"
+      (if !total = 0 then 100.0
+       else 100.0 *. float_of_int !attributed /. float_of_int !total)
+  end
 
 (* The metrics timeline: reconstruct the black box's sample rings from
    the (possibly dirty) image and render the last minutes of every
@@ -247,132 +236,125 @@ let print_prof heap =
    so "what was the server doing just before the crash" is one command.
    Ends with machine-readable lines for the crash-suite gate. *)
 let print_timeline heap =
-  match Ralloc.tsdb heap with
-  | None -> fail "no metrics black box in this image (pre-v3 layout)"
-  | Some db ->
-    let n_series = Obs.Tsdb.series_count db in
-    let fine = Obs.Tsdb.points db `Fine in
-    let mid = Obs.Tsdb.points db `Mid in
-    let coarse = Obs.Tsdb.points db `Coarse in
-    Printf.printf
-      "metrics timeline: %d samples total (%d fine, %d mid, %d coarse \
-       reconstructed, %d torn), %d series\n"
-      (Obs.Tsdb.total_samples db)
-      (List.length fine) (List.length mid) (List.length coarse)
-      (Obs.Tsdb.torn_slots db) n_series;
-    let spark values =
-      (* 8-level Unicode sparkline, scaled to this series' own range *)
-      let lo = List.fold_left min max_int values
-      and hi = List.fold_left max min_int values in
-      let levels = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83";
-                      "\xe2\x96\x84"; "\xe2\x96\x85"; "\xe2\x96\x86";
-                      "\xe2\x96\x87"; "\xe2\x96\x88" |] in
-      String.concat ""
-        (List.map
-           (fun v ->
-             let i =
-               if hi = lo then 0
-               else (v - lo) * (Array.length levels - 1) / (hi - lo)
-             in
-             levels.(i))
-           values)
+  let db = (Ralloc.blackbox heap).tsdb in
+  let n_series = Obs.Tsdb.series_count db in
+  let fine = Obs.Tsdb.points db `Fine in
+  let mid = Obs.Tsdb.points db `Mid in
+  let coarse = Obs.Tsdb.points db `Coarse in
+  Printf.printf
+    "metrics timeline: %d samples total (%d fine, %d mid, %d coarse \
+     reconstructed, %d torn), %d series\n"
+    (Obs.Tsdb.total_samples db)
+    (List.length fine) (List.length mid) (List.length coarse)
+    (Obs.Tsdb.torn_slots db) n_series;
+  let spark values =
+    (* 8-level Unicode sparkline, scaled to this series' own range *)
+    let lo = List.fold_left min max_int values
+    and hi = List.fold_left max min_int values in
+    let levels = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83";
+                    "\xe2\x96\x84"; "\xe2\x96\x85"; "\xe2\x96\x86";
+                    "\xe2\x96\x87"; "\xe2\x96\x88" |] in
+    String.concat ""
+      (List.map
+         (fun v ->
+           let i =
+             if hi = lo then 0
+             else (v - lo) * (Array.length levels - 1) / (hi - lo)
+           in
+           levels.(i))
+         values)
+  in
+  let last_ts = ref 0 in
+  for s = 0 to n_series - 1 do
+    let name =
+      match Obs.Tsdb.series_name db s with
+      | Some n -> n
+      | None -> Printf.sprintf "series_%d" s
     in
-    let last_ts = ref 0 in
-    for s = 0 to n_series - 1 do
-      let name =
-        match Obs.Tsdb.series_name db s with
-        | Some n -> n
-        | None -> Printf.sprintf "series_%d" s
-      in
-      let pts = Obs.Tsdb.series_points db `Fine s in
-      let values =
-        List.map (fun (_, v) -> int_of_float (Float.round v)) pts
-      in
-      (match List.rev pts with
-      | (ts, _) :: _ -> last_ts := max !last_ts ts
-      | [] -> ());
-      let mean, _sigma = Obs.Tsdb.series_stats db `Fine s in
-      let last = match List.rev values with v :: _ -> v | [] -> 0 in
-      let vmax = List.fold_left max 0 values in
-      (* keep the sparkline to the last 60 fine samples *)
-      let tail_values =
-        let n = List.length values in
-        if n <= 60 then values
-        else List.filteri (fun i _ -> i >= n - 60) values
-      in
-      Printf.printf "%-24s last=%-10d mean=%-10.1f max=%-10d %s\n" name last
-        mean vmax
-        (if tail_values = [] then "(no samples)" else spark tail_values)
-    done;
-    (* last-60 s anomaly summary over the fine ring *)
-    let anomalies = Obs.Tsdb.anomalies ~k:3.0 ~window:60 db in
-    if anomalies = [] then
-      print_endline "anomalies (last 60 samples, >3 sigma): none"
-    else begin
-      print_endline "anomalies (last 60 samples, >3 sigma):";
-      List.iter
-        (fun (a : Obs.Tsdb.anomaly) ->
-          Printf.printf
-            "  %-24s last=%.1f vs mean=%.1f sigma=%.1f (%.1f sigma off)\n"
-            a.an_name a.an_last a.an_mean a.an_sigma
-            (if a.an_sigma > 0. then
-               Float.abs (a.an_last -. a.an_mean) /. a.an_sigma
-             else 0.))
-        anomalies
-    end;
-    (* cross-reference: flight events inside the reconstructed window *)
-    (match Ralloc.flight heap with
-    | None -> ()
-    | Some f ->
-      let window_start =
-        match fine with
-        | p :: _ -> p.Obs.Tsdb.p_ts_ns
-        | [] -> max_int
-      in
-      let events =
-        List.filter
-          (fun (e : Obs.Flight.event) -> e.ts_ns >= window_start)
-          (Obs.Flight.tail f)
-      in
-      let shown =
-        let n = List.length events in
-        if n <= 12 then events else List.filteri (fun i _ -> i >= n - 12) events
-      in
-      Printf.printf "flight events inside the timeline window: %d (last %d):\n"
-        (List.length events) (List.length shown);
-      List.iter
-        (fun (e : Obs.Flight.event) ->
-          Printf.printf "  %+8.1fs %-14s a=%d b=%d c=%d\n"
-            (float_of_int (e.ts_ns - !last_ts) /. 1e9)
-            (Obs.Flight.Kind.name e.kind)
-            e.a e.arg_b e.c)
-        shown);
-    (* machine-readable gate lines *)
-    Printf.printf "tsdb_samples_total %d\n" (Obs.Tsdb.total_samples db);
-    Printf.printf "tsdb_fine_points %d\n" (List.length fine);
-    Printf.printf "tsdb_torn %d\n" (Obs.Tsdb.torn_slots db);
-    (* lifetime per-kind counter, not the tail: breach events are rare
-       next to allocation events and wrap out of the ring in ms *)
-    (match Ralloc.flight heap with
-    | Some f ->
-      Printf.printf "tsdb_slo_breach_events %d\n"
-        (Obs.Flight.kind_count f Obs.Flight.Kind.slo_breach)
-    | None -> ());
-    for s = 0 to n_series - 1 do
-      let name =
-        match Obs.Tsdb.series_name db s with
-        | Some n -> n
-        | None -> Printf.sprintf "series_%d" s
-      in
-      let values =
-        List.map (fun (_, v) -> int_of_float (Float.round v))
-          (Obs.Tsdb.series_points db `Fine s)
-      in
-      let last = match List.rev values with v :: _ -> v | [] -> 0 in
-      Printf.printf "tsdb_series name=%s points=%d last=%d max=%d\n" name
-        (List.length values) last
-        (List.fold_left max 0 values)
-    done
+    let pts = Obs.Tsdb.series_points db `Fine s in
+    let values =
+      List.map (fun (_, v) -> int_of_float (Float.round v)) pts
+    in
+    (match List.rev pts with
+    | (ts, _) :: _ -> last_ts := max !last_ts ts
+    | [] -> ());
+    let mean, _sigma = Obs.Tsdb.series_stats db `Fine s in
+    let last = match List.rev values with v :: _ -> v | [] -> 0 in
+    let vmax = List.fold_left max 0 values in
+    (* keep the sparkline to the last 60 fine samples *)
+    let tail_values =
+      let n = List.length values in
+      if n <= 60 then values
+      else List.filteri (fun i _ -> i >= n - 60) values
+    in
+    Printf.printf "%-24s last=%-10d mean=%-10.1f max=%-10d %s\n" name last
+      mean vmax
+      (if tail_values = [] then "(no samples)" else spark tail_values)
+  done;
+  (* last-60 s anomaly summary over the fine ring *)
+  let anomalies = Obs.Tsdb.anomalies ~k:3.0 ~window:60 db in
+  if anomalies = [] then
+    print_endline "anomalies (last 60 samples, >3 sigma): none"
+  else begin
+    print_endline "anomalies (last 60 samples, >3 sigma):";
+    List.iter
+      (fun (a : Obs.Tsdb.anomaly) ->
+        Printf.printf
+          "  %-24s last=%.1f vs mean=%.1f sigma=%.1f (%.1f sigma off)\n"
+          a.an_name a.an_last a.an_mean a.an_sigma
+          (if a.an_sigma > 0. then
+             Float.abs (a.an_last -. a.an_mean) /. a.an_sigma
+           else 0.))
+      anomalies
+  end;
+  (* cross-reference: flight events inside the reconstructed window *)
+  let f = (Ralloc.blackbox heap).flight in
+  let window_start =
+    match fine with
+    | p :: _ -> p.Obs.Tsdb.p_ts_ns
+    | [] -> max_int
+  in
+  let events =
+    List.filter
+      (fun (e : Obs.Flight.event) -> e.ts_ns >= window_start)
+      (Obs.Flight.tail f)
+  in
+  let shown =
+    let n = List.length events in
+    if n <= 12 then events else List.filteri (fun i _ -> i >= n - 12) events
+  in
+  Printf.printf "flight events inside the timeline window: %d (last %d):\n"
+    (List.length events) (List.length shown);
+  List.iter
+    (fun (e : Obs.Flight.event) ->
+      Printf.printf "  %+8.1fs %-14s a=%d b=%d c=%d\n"
+        (float_of_int (e.ts_ns - !last_ts) /. 1e9)
+        (Obs.Flight.Kind.name e.kind)
+        e.a e.arg_b e.c)
+    shown;
+  (* machine-readable gate lines *)
+  Printf.printf "tsdb_samples_total %d\n" (Obs.Tsdb.total_samples db);
+  Printf.printf "tsdb_fine_points %d\n" (List.length fine);
+  Printf.printf "tsdb_torn %d\n" (Obs.Tsdb.torn_slots db);
+  (* lifetime per-kind counter, not the tail: breach events are rare
+     next to allocation events and wrap out of the ring in ms *)
+  Printf.printf "tsdb_slo_breach_events %d\n"
+    (Obs.Flight.kind_count f Obs.Flight.Kind.slo_breach);
+  for s = 0 to n_series - 1 do
+    let name =
+      match Obs.Tsdb.series_name db s with
+      | Some n -> n
+      | None -> Printf.sprintf "series_%d" s
+    in
+    let values =
+      List.map (fun (_, v) -> int_of_float (Float.round v))
+        (Obs.Tsdb.series_points db `Fine s)
+    in
+    let last = match List.rev values with v :: _ -> v | [] -> 0 in
+    Printf.printf "tsdb_series name=%s points=%d last=%d max=%d\n" name
+      (List.length values) last
+      (List.fold_left max 0 values)
+  done
 
 (* The audit verdict.  A dirty image is *expected* to have stale transient
    metadata — that is precisely what recovery rebuilds — so the verdict on

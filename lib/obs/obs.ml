@@ -561,44 +561,221 @@ module Span = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Persistent windows: one record ring and one name table             *)
+(*                                                                    *)
+(* Every crash-surviving view below is built from these two codecs.   *)
+(* lib/pmem depends on lib/obs, so a window is reached through a      *)
+(* record of closures that Pmem.flight_backend builds.  Records hold  *)
+(* offsets and sequence numbers, never virtual addresses.             *)
+(* ------------------------------------------------------------------ *)
+
+type backend = {
+  words : int;
+  load : int -> int;
+  store : int -> int -> unit;
+  fetch_add : int -> int -> int;
+  flush : int -> unit;
+  fence : unit -> unit;
+}
+
+let line_words = 8
+
+(* The checksummed ring: [capacity] slots of [lines] cache lines each.
+   A record is
+
+     [seq | payload ... | checksum | 0]
+
+   with seq (word 0) starting at 1 (0 = never written), the checksum
+   (second-to-last word) a nonzero 62-bit fold of seq and every payload
+   word seeded per view, and the last word reserved zero.  The
+   simulated NVM never tears within a line, so a slot is the complete
+   old record, the complete new one, or — if an eviction persisted some
+   of its lines mid-composition — a mix whose checksum cannot match: a
+   torn record is always detected and never misparsed.
+
+   Write protocol: [claim] a sequence number (fetch_add on the head
+   cursor), store the payload, [seal] (stamp seq and checksum, flush
+   every line); the caller fences.  The head cursor is a window word
+   that is never flushed — its durable value would race the records it
+   counts — and [rebuild] recomputes it at attach as max(valid seq)+1. *)
+module Ring = struct
+  type t = {
+    b : backend;
+    head : int;
+    base : int;
+    lines : int;
+    rec_words : int;
+    capacity : int;
+    seed : int;
+  }
+
+  let words_for ~lines ~capacity = capacity * lines * line_words
+  let checksum_word ~lines = (lines * line_words) - 2
+
+  (* The caller has checked that the ring fits its window. *)
+  let make b ~head ~base ~lines ~capacity ~seed =
+    { b; head; base; lines; rec_words = lines * line_words; capacity; seed }
+
+  let capacity t = t.capacity
+  let slot t s = t.base + (s * t.rec_words)
+  let slot_of_seq t seq = slot t ((seq - 1) mod t.capacity)
+
+  (* splitmix-style finalizer steps, wrapping OCaml multiplication;
+     straight-line, so it allocates nothing *)
+  let mix h v =
+    let h = h lxor (v + 0x1e3779b97f4a7c15 + (h lsl 6) + (h lsr 2)) in
+    let h = h * 0x3f58476d1ce4e5b9 in
+    h lxor (h lsr 27)
+
+  (* A top-level loop, not a local closure: the write path allocates
+     nothing. *)
+  let rec fold (b : backend) h w i last =
+    if i > last then h else fold b (mix h (b.load (w + i))) w (i + 1) last
+
+  (* forced nonzero so a zeroed slot can never look checksummed *)
+  let checksum t w =
+    let h = fold t.b t.seed w 0 (t.rec_words - 3) land max_int in
+    if h = 0 then 1 else h
+
+  let valid t w = t.b.load w <> 0 && t.b.load (w + t.rec_words - 2) = checksum t w
+
+  (* zero the slots (a stale image fragment must not parse as records)
+     and restart the cursor *)
+  let clear t =
+    for w = t.base to slot t t.capacity - 1 do
+      t.b.store w 0
+    done;
+    t.b.store t.head 1
+
+  let rebuild t =
+    let hi = ref 0 in
+    for s = 0 to t.capacity - 1 do
+      let w = slot t s in
+      if valid t w && t.b.load w > !hi then hi := t.b.load w
+    done;
+    t.b.store t.head (!hi + 1)
+
+  let claim t = t.b.fetch_add t.head 1
+
+  let seal t seq =
+    let w = slot_of_seq t seq in
+    t.b.store w seq;
+    t.b.store (w + t.rec_words - 1) 0;
+    t.b.store (w + t.rec_words - 2) (checksum t w);
+    for l = 0 to t.lines - 1 do
+      t.b.flush (w + (l * line_words))
+    done
+
+  (* First words of the complete records, oldest first; after a crash
+     these are exactly the records whose write had fenced (plus any that
+     happened to be evicted whole). *)
+  let tail ?limit t =
+    let acc = ref [] in
+    for s = 0 to t.capacity - 1 do
+      let w = slot t s in
+      if valid t w then acc := (t.b.load w, w) :: !acc
+    done;
+    let recs = List.map snd (List.sort compare !acc) in
+    match limit with
+    | Some n when n >= 0 && List.length recs > n ->
+      (* keep the newest n *)
+      let drop = List.length recs - n in
+      List.filteri (fun i _ -> i >= drop) recs
+    | _ -> recs
+
+  let torn_slots t =
+    let n = ref 0 in
+    for s = 0 to t.capacity - 1 do
+      let w = slot t s in
+      if t.b.load w <> 0 && not (valid t w) then incr n
+    done;
+    !n
+
+  let total_recorded t = t.b.load t.head - 1
+end
+
+(* The name table: [capacity] one-line records indexed by id.  Word 0
+   is the name length in bytes (0 = empty slot), words 1..7 hold up to
+   49 bytes packed 7 per word little-endian.  The length is stored last
+   within the record's single line, so an eviction that persists the
+   line mid-write reads back as an empty slot, never a torn name. *)
+module Names = struct
+  type t = { b : backend; base : int; capacity : int }
+
+  let max_name = 7 * (line_words - 1)
+  let words_for ~capacity = capacity * line_words
+
+  let make b ~base ~capacity = { b; base; capacity }
+
+  let capacity t = t.capacity
+
+  let clear t =
+    for w = t.base to t.base + words_for ~capacity:t.capacity - 1 do
+      t.b.store w 0
+    done
+
+  (* Durable when it returns: one line, so 1 flush + 1 fence.
+     Out-of-range ids are skipped. *)
+  let persist t id name =
+    if id >= 0 && id < t.capacity then begin
+      let w0 = t.base + (id * line_words) in
+      let n = min (String.length name) max_name in
+      for wi = 0 to line_words - 2 do
+        let word = ref 0 in
+        for bi = 0 to 6 do
+          let i = (wi * 7) + bi in
+          if i < n then word := !word lor (Char.code name.[i] lsl (bi * 8))
+        done;
+        t.b.store (w0 + 1 + wi) !word
+      done;
+      t.b.store w0 n;
+      t.b.flush w0;
+      t.b.fence ()
+    end
+
+  let get t id =
+    if id < 0 || id >= t.capacity then None
+    else
+      let w0 = t.base + (id * line_words) in
+      let n = t.b.load w0 in
+      if n <= 0 || n > max_name then None
+      else begin
+        let buf = Bytes.create n in
+        for i = 0 to n - 1 do
+          Bytes.set buf i
+            (Char.chr ((t.b.load (w0 + 1 + (i / 7)) lsr (i mod 7 * 8)) land 0xFF))
+        done;
+        Some (Bytes.to_string buf)
+      end
+
+  let count t =
+    let n = ref 0 in
+    for id = 0 to t.capacity - 1 do
+      if get t id <> None then incr n
+    done;
+    !n
+end
+
+(* ------------------------------------------------------------------ *)
 (* Persistent flight recorder                                         *)
 (*                                                                    *)
-(* A fixed-size event ring living in a window of simulated NVM, so the *)
-(* last N allocator lifecycle events survive a crash and can explain   *)
-(* how the heap got into its state.  This module owns only the layout  *)
-(* and the write protocol; the NVM itself is reached through an        *)
-(* abstract [backend] record because lib/pmem depends on lib/obs, not  *)
-(* the other way around — Pmem.flight_backend closes the loop.         *)
-(*                                                                    *)
-(* Layout, in words relative to the backend window (everything         *)
-(* position-independent: the ring stores offsets and sequence numbers, *)
-(* never virtual addresses):                                           *)
+(* A 1-line ring of rare lifecycle events, so the last N of them       *)
+(* survive a crash and explain how the heap got into its state.        *)
+(* Layout, in words relative to the backend window:                    *)
 (*                                                                    *)
 (*   line 0   (words 0..7)    magic, capacity, head cursor, reserved   *)
 (*   lines 1-2 (words 8..23)  16 per-kind lifetime event counters      *)
-(*   word 24 onward           capacity * 8-word entries, one per line  *)
-(*                                                                    *)
-(* An entry is exactly one cache line:                                 *)
+(*   word 24 onward           the ring, one line per entry:            *)
 (*                                                                    *)
 (*   [seq | kind | a | b | c | ts_ns | checksum | 0]                   *)
 (*                                                                    *)
-(* with seq starting at 1 (0 = never written) and the checksum a       *)
-(* nonzero 62-bit hash of the other six fields.  The simulated NVM     *)
-(* never tears within a line, so a slot is either the complete old     *)
-(* entry, the complete new entry, or — if an eviction persisted the    *)
-(* line mid-composition — a mix whose checksum cannot match; a torn    *)
-(* tail entry is therefore always detected and never misparsed.        *)
-(*                                                                    *)
-(* Write protocol per event: claim a slot with fetch_add on the head   *)
-(* cursor, compose the entry, flush its line, bump + flush the kind    *)
-(* counter's line, fence.  Exactly 2 flushes + 1 fence per event in    *)
-(* any pmem mode, zero when disabled.  The head cursor itself is       *)
-(* never flushed — its durable value would race the entries it counts  *)
-(* — and is instead rebuilt at [attach] as max(valid seq) + 1.         *)
+(* Write protocol per event: claim + compose + seal the entry (1       *)
+(* flush), bump + flush the kind counter's line, fence.  Exactly 2     *)
+(* flushes + 1 fence per event in any pmem mode, zero when disabled.   *)
 (* ------------------------------------------------------------------ *)
 
 module Flight = struct
-  type backend = {
+  type nonrec backend = backend = {
     words : int;
     load : int -> int;
     store : int -> int -> unit;
@@ -649,35 +826,28 @@ module Flight = struct
   let off_counters = 8
   let nkinds = 16
   let header_words = off_counters + nkinds (* 24: a multiple of a line *)
-  let entry_words = 8
   let magic = 0x464C495245434F52 land max_int (* "FLIRECOR", 62-bit *)
+  let seed = 0x52414C4C4F43
 
   let recording_on = ref false
   let set_enabled b = recording_on := b && not (hard_disabled ())
   let enabled () = !recording_on
 
-  type t = { b : backend; capacity : int; mask : int }
+  type t = Ring.t
 
-  let capacity t = t.capacity
+  let capacity = Ring.capacity
 
   let round_pow2 n =
     let rec go p = if p >= n then p else go (p * 2) in
     go 1
 
-  let words_for ~capacity = header_words + (round_pow2 (max 1 capacity) * entry_words)
+  let words_for ~capacity =
+    header_words + Ring.words_for ~lines:1 ~capacity:(round_pow2 (max 1 capacity))
 
-  (* 62-bit mix of the six entry fields (splitmix-style finalizer steps,
-     wrapping OCaml multiplication), forced nonzero so a zeroed slot can
-     never look checksummed.  Straight-line, so it allocates nothing. *)
-  let mix h v =
-    let h = h lxor (v + 0x1e3779b97f4a7c15 + (h lsl 6) + (h lsr 2)) in
-    let h = h * 0x3f58476d1ce4e5b9 in
-    h lxor (h lsr 27)
+  let slot_word s = header_words + (s * line_words)
 
-  let checksum seq kind a b c ts =
-    let h = mix (mix (mix (mix (mix (mix 0x52414C4C4F43 seq) kind) a) b) c) ts in
-    let h = h land max_int in
-    if h = 0 then 1 else h
+  let ring b ~capacity =
+    Ring.make b ~head:off_head ~base:header_words ~lines:1 ~capacity ~seed
 
   let format b ~capacity =
     let capacity = round_pow2 (max 1 capacity) in
@@ -685,15 +855,47 @@ module Flight = struct
       invalid_arg "Obs.Flight.format: window too small for capacity";
     b.store off_magic magic;
     b.store off_capacity capacity;
-    b.store off_head 1;
     for i = 0 to nkinds - 1 do
       b.store (off_counters + i) 0
     done;
-    (* zero the slots: a stale image fragment must not parse as events *)
-    for w = header_words to header_words + (capacity * entry_words) - 1 do
-      b.store w 0
-    done;
-    { b; capacity; mask = capacity - 1 }
+    let t = ring b ~capacity in
+    Ring.clear t;
+    t
+
+  let attach b =
+    if b.words < header_words || b.load off_magic <> magic then None
+    else begin
+      let cap = b.load off_capacity in
+      if cap < 1 || cap land (cap - 1) <> 0 || words_for ~capacity:cap > b.words
+      then None
+      else begin
+        let t = ring b ~capacity:cap in
+        Ring.rebuild t;
+        Some t
+      end
+    end
+
+  (* The ungated write path: used by [record] under this module's flag,
+     and by the provenance ring ([Prof.Ring] below) under the profiler's
+     own flag — the two recorders share one entry protocol but toggle
+     independently. *)
+  let record_now (t : t) ~kind ?(a = 0) ?(b = 0) ?(c = 0) () =
+    let seq = Ring.claim t in
+    let w = Ring.slot_of_seq t seq in
+    let bk = t.Ring.b in
+    bk.store (w + 1) kind;
+    bk.store (w + 2) a;
+    bk.store (w + 3) b;
+    bk.store (w + 4) c;
+    bk.store (w + 5) (now_ns ());
+    Ring.seal t seq;
+    let kc = off_counters + (kind land (nkinds - 1)) in
+    ignore (bk.fetch_add kc 1);
+    bk.flush kc;
+    bk.fence ()
+
+  let record t ~kind ?a ?b ?c () =
+    if !recording_on then record_now t ~kind ?a ?b ?c ()
 
   type event = {
     seq : int;
@@ -704,101 +906,17 @@ module Flight = struct
     ts_ns : int;
   }
 
-  (* [Some ev] if slot [s] holds a complete entry, [None] if it is empty
-     or torn (checksum mismatch). *)
-  let read_slot t s =
-    let w = header_words + (s * entry_words) in
-    let seq = t.b.load w in
-    if seq = 0 then None
-    else
-      let kind = t.b.load (w + 1) in
-      let a = t.b.load (w + 2) in
-      let arg_b = t.b.load (w + 3) in
-      let c = t.b.load (w + 4) in
-      let ts_ns = t.b.load (w + 5) in
-      if t.b.load (w + 6) = checksum seq kind a arg_b c ts_ns then
-        Some { seq; kind; a; arg_b; c; ts_ns }
-      else None
+  let event_at (t : t) w =
+    let l i = t.Ring.b.load (w + i) in
+    { seq = l 0; kind = l 1; a = l 2; arg_b = l 3; c = l 4; ts_ns = l 5 }
 
-  let attach b =
-    if b.words < header_words then None
-    else if b.load off_magic <> magic then None
-    else begin
-      let cap = b.load off_capacity in
-      if cap < 1 || cap land (cap - 1) <> 0 || words_for ~capacity:cap > b.words
-      then None
-      else begin
-        let t = { b; capacity = cap; mask = cap - 1 } in
-        (* Rebuild the never-flushed head cursor from the durable entries:
-           the next sequence number is one past the newest valid entry. *)
-        let hi = ref 0 in
-        for s = 0 to cap - 1 do
-          match read_slot t s with
-          | Some e -> if e.seq > !hi then hi := e.seq
-          | None -> ()
-        done;
-        b.store off_head (!hi + 1);
-        Some t
-      end
-    end
+  let tail ?limit t = List.map (event_at t) (Ring.tail ?limit t)
+  let torn_slots = Ring.torn_slots
 
-  (* The ungated write path: used by [record] under this module's flag,
-     and by the provenance ring ([Prof.Ring] below) under the profiler's
-     own flag — the two recorders share one entry protocol but toggle
-     independently. *)
-  let record_now t ~kind ?(a = 0) ?(b = 0) ?(c = 0) () =
-    let seq = t.b.fetch_add off_head 1 in
-    let w = header_words + (((seq - 1) land t.mask) * entry_words) in
-    let ts = now_ns () in
-    t.b.store w seq;
-    t.b.store (w + 1) kind;
-    t.b.store (w + 2) a;
-    t.b.store (w + 3) b;
-    t.b.store (w + 4) c;
-    t.b.store (w + 5) ts;
-    t.b.store (w + 6) (checksum seq kind a b c ts);
-    t.b.store (w + 7) 0;
-    let kc = off_counters + (kind land (nkinds - 1)) in
-    ignore (t.b.fetch_add kc 1);
-    t.b.flush w;
-    t.b.flush kc;
-    t.b.fence ()
+  let kind_count (t : t) k =
+    if k < 0 || k >= nkinds then 0 else t.Ring.b.load (off_counters + k)
 
-  let record t ~kind ?a ?b ?c () =
-    if !recording_on then record_now t ~kind ?a ?b ?c ()
-
-  (* Every complete entry currently in the ring, oldest first.  After a
-     crash these are exactly the events whose [record] had fenced (plus
-     any that happened to be evicted). *)
-  let tail ?limit t =
-    let acc = ref [] in
-    for s = 0 to t.capacity - 1 do
-      match read_slot t s with
-      | Some e -> acc := e :: !acc
-      | None -> ()
-    done;
-    let evs = List.sort (fun x y -> compare x.seq y.seq) !acc in
-    match limit with
-    | Some n when n >= 0 && List.length evs > n ->
-      (* keep the newest n *)
-      let drop = List.length evs - n in
-      List.filteri (fun i _ -> i >= drop) evs
-    | _ -> evs
-
-  (* Slots holding a nonzero seq whose checksum does not match: entries
-     whose line reached the persistent view mid-composition. *)
-  let torn_slots t =
-    let n = ref 0 in
-    for s = 0 to t.capacity - 1 do
-      let w = header_words + (s * entry_words) in
-      if t.b.load w <> 0 && read_slot t s = None then incr n
-    done;
-    !n
-
-  let kind_count t k =
-    if k < 0 || k >= nkinds then 0 else t.b.load (off_counters + k)
-
-  let total_recorded t = t.b.load off_head - 1
+  let total_recorded = Ring.total_recorded
 
   let pp_event ppf e =
     Format.fprintf ppf "#%-6d %-15s a=%-8d b=%-8d c=%-10d ts=%d" e.seq
@@ -827,8 +945,8 @@ end
 (*                                                                    *)
 (* The volatile side is the site table + tallies + a sampled-block map *)
 (* (so a free cancels its sample).  The crash-surviving side is the    *)
-(* provenance ring ([Ring], the flight recorder's entry protocol over  *)
-(* its own metadata-region window) plus a persistent interned          *)
+(* provenance ring ([Ring], a second ring in the flight recorder's     *)
+(* format, next to it in the black-box window) plus a persistent       *)
 (* site-name table ([Ptab]) so an offline inspector can resolve site   *)
 (* ids without the process that interned them.                         *)
 (*                                                                    *)
@@ -1203,7 +1321,7 @@ module Prof = struct
 
   (* The provenance ring: the flight recorder's checksummed one-line
      entry protocol (2 flushes + 1 fence per entry, torn tails detected,
-     head cursor rebuilt at attach) over its own window, recording
+     head cursor rebuilt at attach) over its own view, recording
      sampled allocations and their frees.  Recording is NOT gated on the
      flight recorder's flag — the caller gates on [Prof.on]. *)
   module Ring = struct
@@ -1264,84 +1382,40 @@ module Prof = struct
     let free_count t = Flight.kind_count t free_kind
   end
 
-  (* The persistent interned site-name table: fixed-capacity array of
-     one-line records indexed by site id, written durably the first time
-     a site is sampled on a given heap, so [Ring] entries resolve to
-     names offline.  Record layout: word 0 = name length in bytes (0 =
-     empty slot, stored last so an early eviction reads as empty), words
-     1..7 = up to 49 name bytes packed 7 per word little-endian. *)
+  (* The persistent interned site-name table: a header line (magic,
+     capacity) over the shared name table, indexed by site id and
+     written durably the first time a site is sampled on a given heap,
+     so [Ring] entries resolve to names offline. *)
   module Ptab = struct
     let magic = 0x50524F4653495445 land max_int (* "PROFSITE" *)
-    let header_words = 8
-    let record_words = 8
-    let max_name = 49
+    let header_words = line_words
+    let max_name = Names.max_name
 
-    type t = { b : Flight.backend; capacity : int }
+    type t = Names.t
 
-    let capacity t = t.capacity
-    let words_for ~capacity = header_words + (capacity * record_words)
+    let capacity = Names.capacity
+    let words_for ~capacity = header_words + Names.words_for ~capacity
+    let slot_word id = header_words + (id * line_words)
 
-    let format (b : Flight.backend) ~capacity =
-      if capacity < 1 || words_for ~capacity > b.Flight.words then
+    let format b ~capacity =
+      if capacity < 1 || words_for ~capacity > b.words then
         invalid_arg "Obs.Prof.Ptab.format: window too small for capacity";
-      b.Flight.store 0 magic;
-      b.Flight.store 1 capacity;
-      for w = header_words to words_for ~capacity - 1 do
-        b.Flight.store w 0
-      done;
-      { b; capacity }
+      b.store 0 magic;
+      b.store 1 capacity;
+      let t = Names.make b ~base:header_words ~capacity in
+      Names.clear t;
+      t
 
-    let attach (b : Flight.backend) =
-      if b.Flight.words < header_words then None
-      else if b.Flight.load 0 <> magic then None
+    let attach b =
+      if b.words < header_words || b.load 0 <> magic then None
       else
-        let cap = b.Flight.load 1 in
-        if cap < 1 || words_for ~capacity:cap > b.Flight.words then None
-        else Some { b; capacity = cap }
+        let cap = b.load 1 in
+        if cap < 1 || words_for ~capacity:cap > b.words then None
+        else Some (Names.make b ~base:header_words ~capacity:cap)
 
-    (* Durable when it returns: the record is one cache line, so this is
-       1 flush + 1 fence.  Out-of-range ids are skipped (the ring entry
-       then prints as "(site N)" offline). *)
-    let persist t id name =
-      if id >= 0 && id < t.capacity then begin
-        let w0 = header_words + (id * record_words) in
-        let n = min (String.length name) max_name in
-        for wi = 0 to 6 do
-          let word = ref 0 in
-          for bi = 0 to 6 do
-            let i = (wi * 7) + bi in
-            if i < n then word := !word lor (Char.code name.[i] lsl (bi * 8))
-          done;
-          t.b.Flight.store (w0 + 1 + wi) !word
-        done;
-        t.b.Flight.store w0 n;
-        t.b.Flight.flush w0;
-        t.b.Flight.fence ()
-      end
-
-    let name t id =
-      if id < 0 || id >= t.capacity then None
-      else
-        let w0 = header_words + (id * record_words) in
-        let n = t.b.Flight.load w0 in
-        if n <= 0 || n > max_name then None
-        else begin
-          let buf = Bytes.create n in
-          for i = 0 to n - 1 do
-            let wi = i / 7 and bi = i mod 7 in
-            Bytes.set buf i
-              (Char.chr
-                 ((t.b.Flight.load (w0 + 1 + wi) lsr (bi * 8)) land 0xFF))
-          done;
-          Some (Bytes.to_string buf)
-        end
-
-    let count t =
-      let n = ref 0 in
-      for id = 0 to t.capacity - 1 do
-        if name t id <> None then incr n
-      done;
-      !n
+    let persist = Names.persist
+    let name = Names.get
+    let count = Names.count
   end
 
 end
@@ -1349,46 +1423,39 @@ end
 (* ------------------------------------------------------------------ *)
 (* Persistent metrics time-series black box                           *)
 (*                                                                    *)
-(* An aircraft-style flight-data recorder for metrics: a fixed-budget  *)
-(* window of simulated NVM holding three ring buffers of sample        *)
-(* records at increasing aggregation — every tick lands in the fine    *)
-(* ring, every [mid_ratio] ticks their sum is appended to the mid      *)
-(* ring, every [coarse_ratio] ticks to the coarse ring — so after a    *)
-(* crash the image still holds a recent high-resolution timeline plus  *)
-(* hours of coarse history, with no replay needed at recovery: the     *)
-(* downsampling happened at write time.                                *)
+(* An aircraft-style flight-data recorder for metrics: three 4-line    *)
+(* rings of sample records at increasing aggregation — every tick      *)
+(* lands in the fine ring, every [mid_ratio] ticks their sum is        *)
+(* appended to the mid ring, every [coarse_ratio] ticks to the coarse  *)
+(* ring — so after a crash the image still holds a recent              *)
+(* high-resolution timeline plus hours of coarse history, with no      *)
+(* replay needed at recovery: the downsampling happened at write time. *)
 (*                                                                    *)
 (* Geometry, in words relative to the backend window:                 *)
 (*                                                                    *)
 (*   line 0                  magic + fixed geometry descriptor        *)
-(*   max_series lines        series-name records (Ptab discipline:    *)
-(*                           length word stored last in the line)     *)
-(*   fine/mid/coarse rings   capacity * record_words sample records   *)
+(*   line 1                  the three rings' never-flushed cursors   *)
+(*   max_series lines        series names (the shared name table)     *)
+(*   fine/mid/coarse rings   capacity * record_lines lines each       *)
 (*                                                                    *)
-(* A sample record is [record_lines] consecutive cache lines:         *)
+(* A sample record is one ring record of [record_lines] lines:        *)
 (*                                                                    *)
-(*   [seq | ts_ns | count | 0 0 0 0 | checksum]   header line         *)
-(*   [v0 .. v7] [v8 .. v15] [v16 .. v23]          value lines         *)
+(*   [seq | ts_ns | count | v0 .. v23 | 0 0 0 | checksum | 0]          *)
 (*                                                                    *)
 (* where [count] is the number of fine ticks aggregated (1 in the     *)
 (* fine ring) and each value word is the SUM of those ticks' values,  *)
 (* so sums — and therefore means, via count — are conserved exactly   *)
-(* across resolutions.  The checksum covers every field including all *)
-(* value words; value lines are stored before the header line, so a   *)
-(* record whose lines reached the persistent view mid-composition     *)
-(* (spontaneous eviction — the write protocol itself ends in a fence) *)
-(* fails its checksum and is dropped at attach, never misparsed.      *)
+(* across resolutions.                                                *)
 (*                                                                    *)
-(* Write protocol per tick: compose + flush the fine record           *)
+(* Write protocol per tick: compose + seal the fine record            *)
 (* ([record_lines] flushes), ditto for a mid/coarse record when the   *)
-(* tick closes their window, then exactly one fence.  Head cursors    *)
-(* are volatile and rebuilt at attach as max(valid seq) + 1, exactly  *)
-(* like the flight recorder's.  Zero work of any kind when disabled.  *)
+(* tick closes their window, then exactly one fence.  Zero work of    *)
+(* any kind when disabled.                                            *)
 (* ------------------------------------------------------------------ *)
 
 module Tsdb = struct
   let max_series = 24
-  let max_name = 49
+  let max_name = Names.max_name
 
   let fine_capacity = 320
   let mid_capacity = 360
@@ -1396,18 +1463,18 @@ module Tsdb = struct
   let mid_ratio = 10
   let coarse_ratio = 60
 
-  let value_lines = (max_series + 7) / 8
-  let record_lines = 1 + value_lines
-  let record_words = record_lines * 8
-  let header_words = 8
-  let name_words = 8
-  let names_base = header_words
-  let fine_base = names_base + (max_series * name_words)
-  let mid_base = fine_base + (fine_capacity * record_words)
-  let coarse_base = mid_base + (mid_capacity * record_words)
-  let total_words = coarse_base + (coarse_capacity * record_words)
+  (* seq, ts, count, the values, checksum and the reserved word *)
+  let record_lines = (max_series + 5 + line_words - 1) / line_words
+  let ring_words capacity = Ring.words_for ~lines:record_lines ~capacity
+  let off_heads = line_words
+  let names_base = 2 * line_words
+  let fine_base = names_base + Names.words_for ~capacity:max_series
+  let mid_base = fine_base + ring_words fine_capacity
+  let coarse_base = mid_base + ring_words mid_capacity
+  let total_words = coarse_base + ring_words coarse_capacity
   let words_for () = total_words
   let magic = 0x5453444252494E47 land max_int (* "TSDBRING" *)
+  let seed = 0x54534442
 
   let tsdb_on = ref false
   let set_enabled b = tsdb_on := b && not (hard_disabled ())
@@ -1415,102 +1482,57 @@ module Tsdb = struct
 
   type ring = [ `Fine | `Mid | `Coarse ]
 
-  let ring_base = function
-    | `Fine -> fine_base
-    | `Mid -> mid_base
-    | `Coarse -> coarse_base
-
-  let ring_capacity = function
-    | `Fine -> fine_capacity
-    | `Mid -> mid_capacity
-    | `Coarse -> coarse_capacity
-
-  let ring_slot = function `Fine -> 0 | `Mid -> 1 | `Coarse -> 2
+  let ring_index = function `Fine -> 0 | `Mid -> 1 | `Coarse -> 2
+  let bases = [| fine_base; mid_base; coarse_base |]
+  let capacities = [| fine_capacity; mid_capacity; coarse_capacity |]
+  let slot_word r s = bases.(ring_index r) + (s * record_lines * line_words)
 
   type t = {
-    b : Flight.backend;
+    b : backend;
     lock : Mutex.t;
+    table : Names.t;
     mutable nseries : int;
     names : string array;
-    heads : int array; (* next seq per ring: fine, mid, coarse *)
+    rings : Ring.t array; (* fine, mid, coarse *)
     acc_mid : int array;
     acc_coarse : int array;
     mutable acc_mid_count : int;
     mutable acc_coarse_count : int;
   }
 
-  (* The flight recorder's mix folded over the whole record (header
-     fields then every value word), forced nonzero like its checksum. *)
-  let checksum ~seq ~ts ~count value =
-    let mix = Flight.mix in
-    let h = ref (mix (mix (mix 0x54534442 seq) ts) count) in
-    for i = 0 to max_series - 1 do
-      h := mix !h (value i)
-    done;
-    let h = !h land max_int in
-    if h = 0 then 1 else h
-
   let fresh b =
+    let ring i =
+      Ring.make b ~head:(off_heads + i) ~base:bases.(i) ~lines:record_lines
+        ~capacity:capacities.(i) ~seed
+    in
     {
       b;
       lock = Mutex.create ();
+      table = Names.make b ~base:names_base ~capacity:max_series;
       nseries = 0;
       names = Array.make max_series "";
-      heads = Array.make 3 1;
+      rings = Array.init 3 ring;
       acc_mid = Array.make max_series 0;
       acc_coarse = Array.make max_series 0;
       acc_mid_count = 0;
       acc_coarse_count = 0;
     }
 
-  let format (b : Flight.backend) =
-    if b.Flight.words < total_words then
+  let format b =
+    if b.words < total_words then
       invalid_arg "Obs.Tsdb.format: window too small";
-    b.Flight.store 0 magic;
-    b.Flight.store 1 max_series;
-    b.Flight.store 2 fine_capacity;
-    b.Flight.store 3 mid_capacity;
-    b.Flight.store 4 coarse_capacity;
-    b.Flight.store 5 mid_ratio;
-    b.Flight.store 6 coarse_ratio;
-    b.Flight.store 7 0;
-    (* zero the name table and every ring slot: stale image fragments
-       must not parse as series or samples *)
-    for w = names_base to total_words - 1 do
-      b.Flight.store w 0
-    done;
-    fresh b
-
-  (* ---- series-name records (Ptab discipline: length stored last) ---- *)
-
-  let persist_name t id name =
-    let w0 = names_base + (id * name_words) in
-    let n = min (String.length name) max_name in
-    for wi = 0 to 6 do
-      let word = ref 0 in
-      for bi = 0 to 6 do
-        let i = (wi * 7) + bi in
-        if i < n then word := !word lor (Char.code name.[i] lsl (bi * 8))
-      done;
-      t.b.Flight.store (w0 + 1 + wi) !word
-    done;
-    t.b.Flight.store w0 n;
-    t.b.Flight.flush w0;
-    t.b.Flight.fence ()
-
-  let load_name (b : Flight.backend) id =
-    let w0 = names_base + (id * name_words) in
-    let n = b.Flight.load w0 in
-    if n <= 0 || n > max_name then None
-    else begin
-      let buf = Bytes.create n in
-      for i = 0 to n - 1 do
-        let wi = i / 7 and bi = i mod 7 in
-        Bytes.set buf i
-          (Char.chr ((b.Flight.load (w0 + 1 + wi) lsr (bi * 8)) land 0xFF))
-      done;
-      Some (Bytes.to_string buf)
-    end
+    b.store 0 magic;
+    b.store 1 max_series;
+    b.store 2 fine_capacity;
+    b.store 3 mid_capacity;
+    b.store 4 coarse_capacity;
+    b.store 5 mid_ratio;
+    b.store 6 coarse_ratio;
+    b.store 7 0;
+    let t = fresh b in
+    Names.clear t.table;
+    Array.iter Ring.clear t.rings;
+    t
 
   (* ---- sample records ---- *)
 
@@ -1521,59 +1543,36 @@ module Tsdb = struct
     p_values : int array; (* SUMS of [p_count] fine ticks, length max_series *)
   }
 
-  let read_record (b : Flight.backend) base slot =
-    let w0 = base + (slot * record_words) in
-    let seq = b.Flight.load w0 in
-    if seq = 0 then None
-    else
-      let ts = b.Flight.load (w0 + 1) in
-      let count = b.Flight.load (w0 + 2) in
-      let v i = b.Flight.load (w0 + 8 + i) in
-      if b.Flight.load (w0 + 7) <> checksum ~seq ~ts ~count v then None
-      else
-        Some
-          {
-            p_seq = seq;
-            p_ts_ns = ts;
-            p_count = count;
-            p_values = Array.init max_series v;
-          }
+  let point_at (b : backend) w =
+    {
+      p_seq = b.load w;
+      p_ts_ns = b.load (w + 1);
+      p_count = b.load (w + 2);
+      p_values = Array.init max_series (fun i -> b.load (w + 3 + i));
+    }
 
-  let attach (b : Flight.backend) =
-    if b.Flight.words < total_words then None
-    else if b.Flight.load 0 <> magic then None
+  let attach b =
+    if b.words < total_words then None
+    else if b.load 0 <> magic then None
     else if
-      b.Flight.load 1 <> max_series
-      || b.Flight.load 2 <> fine_capacity
-      || b.Flight.load 3 <> mid_capacity
-      || b.Flight.load 4 <> coarse_capacity
-      || b.Flight.load 5 <> mid_ratio
-      || b.Flight.load 6 <> coarse_ratio
+      b.load 1 <> max_series
+      || b.load 2 <> fine_capacity
+      || b.load 3 <> mid_capacity
+      || b.load 4 <> coarse_capacity
+      || b.load 5 <> mid_ratio
+      || b.load 6 <> coarse_ratio
     then None (* formatted by a build with a different geometry *)
     else begin
       let t = fresh b in
       (* rebuild the volatile series table from the persisted names *)
-      let hi_series = ref 0 in
       for id = 0 to max_series - 1 do
-        match load_name b id with
+        match Names.get t.table id with
         | Some n ->
           t.names.(id) <- n;
-          hi_series := id + 1
+          t.nseries <- id + 1
         | None -> ()
       done;
-      t.nseries <- !hi_series;
-      (* rebuild each ring's never-flushed head cursor *)
-      List.iter
-        (fun r ->
-          let base = ring_base r and cap = ring_capacity r in
-          let hi = ref 0 in
-          for s = 0 to cap - 1 do
-            match read_record b base s with
-            | Some p -> if p.p_seq > !hi then hi := p.p_seq
-            | None -> ()
-          done;
-          t.heads.(ring_slot r) <- !hi + 1)
-        [ `Fine; `Mid; `Coarse ];
+      Array.iter Ring.rebuild t.rings;
       Some t
     end
 
@@ -1595,7 +1594,7 @@ module Tsdb = struct
         let id = t.nseries in
         t.names.(id) <- name;
         t.nseries <- id + 1;
-        if !tsdb_on then persist_name t id name;
+        if !tsdb_on then Names.persist t.table id name;
         id
     in
     Mutex.unlock t.lock;
@@ -1615,27 +1614,18 @@ module Tsdb = struct
     in
     find 0
 
-  (* Compose + flush one record; the caller owns the fence. *)
+  (* Compose + seal one record; the caller owns the fence. *)
   let write_record t r ~ts ~count vals =
-    let base = ring_base r and cap = ring_capacity r in
-    let seq = t.heads.(ring_slot r) in
-    t.heads.(ring_slot r) <- seq + 1;
-    let w0 = base + (((seq - 1) mod cap) * record_words) in
-    let v i = if i < Array.length vals then vals.(i) else 0 in
+    let ring = t.rings.(ring_index r) and b = t.b in
+    let seq = Ring.claim ring in
+    let w = Ring.slot_of_seq ring seq in
+    b.store (w + 1) ts;
+    b.store (w + 2) count;
     for i = 0 to max_series - 1 do
-      t.b.Flight.store (w0 + 8 + i) (v i)
+      b.store (w + 3 + i) (if i < Array.length vals then vals.(i) else 0)
     done;
-    t.b.Flight.store w0 seq;
-    t.b.Flight.store (w0 + 1) ts;
-    t.b.Flight.store (w0 + 2) count;
-    t.b.Flight.store (w0 + 3) 0;
-    t.b.Flight.store (w0 + 4) 0;
-    t.b.Flight.store (w0 + 5) 0;
-    t.b.Flight.store (w0 + 6) 0;
-    t.b.Flight.store (w0 + 7) (checksum ~seq ~ts ~count v);
-    for l = 0 to record_lines - 1 do
-      t.b.Flight.flush (w0 + (l * 8))
-    done
+    (* the spare words before the checksum stay zero from [format] *)
+    Ring.seal ring seq
 
   let sample t ~ts_ns values =
     if !tsdb_on then begin
@@ -1658,36 +1648,19 @@ module Tsdb = struct
         Array.fill t.acc_coarse 0 max_series 0;
         t.acc_coarse_count <- 0
       end;
-      t.b.Flight.fence ();
+      t.b.fence ();
       Mutex.unlock t.lock
     end
 
   (* ---- read side ---- *)
 
   let points t r =
-    let base = ring_base r and cap = ring_capacity r in
-    let acc = ref [] in
-    for s = 0 to cap - 1 do
-      match read_record t.b base s with
-      | Some p -> acc := p :: !acc
-      | None -> ()
-    done;
-    List.sort (fun a b -> compare a.p_seq b.p_seq) !acc
+    List.map (point_at t.b) (Ring.tail t.rings.(ring_index r))
 
   let torn_slots t =
-    let n = ref 0 in
-    List.iter
-      (fun r ->
-        let base = ring_base r and cap = ring_capacity r in
-        for s = 0 to cap - 1 do
-          let w0 = base + (s * record_words) in
-          if t.b.Flight.load w0 <> 0 && read_record t.b base s = None then
-            incr n
-        done)
-      [ `Fine; `Mid; `Coarse ];
-    !n
+    Array.fold_left (fun n ring -> n + Ring.torn_slots ring) 0 t.rings
 
-  let total_samples t = t.heads.(0) - 1
+  let total_samples t = Ring.total_recorded t.rings.(0)
 
   let series_points t r id =
     if id < 0 || id >= max_series then []
@@ -1794,6 +1767,79 @@ module Tsdb = struct
 
     let index s name = series_index s.db name
   end
+end
+
+(* ------------------------------------------------------------------ *)
+(* The black box: every crash-surviving view in one window            *)
+(*                                                                    *)
+(* The flight ring, the provenance ring, the site-name table and the   *)
+(* metrics rings share one line-aligned window, split here so a heap   *)
+(* reserves a single carve-out and can never drift from the writers:   *)
+(*                                                                    *)
+(*   flight ring (256) | provenance ring (1024) | site names (128)     *)
+(*   | metrics black box                                              *)
+(*                                                                    *)
+(* Each view writes through its own bounds-checked sub-window, so no   *)
+(* view can write into, or parse, its neighbour's records.             *)
+(* ------------------------------------------------------------------ *)
+
+module Blackbox = struct
+  let flight_capacity = 256
+  let prov_capacity = 1024
+  let sites_capacity = 128
+  let prov_base = Flight.words_for ~capacity:flight_capacity
+  let sites_base = prov_base + Prof.Ring.words_for ~capacity:prov_capacity
+  let tsdb_base = sites_base + Prof.Ptab.words_for ~capacity:sites_capacity
+  let words = tsdb_base + Tsdb.words_for ()
+
+  type t = {
+    flight : Flight.t;
+    prov : Prof.Ring.t;
+    sites : Prof.Ptab.t;
+    tsdb : Tsdb.t;
+  }
+
+  let sub b ~first ~last =
+    let n = last - first in
+    let abs w =
+      if w < 0 || w >= n then invalid_arg "Obs.Blackbox: index outside its view";
+      first + w
+    in
+    {
+      words = n;
+      load = (fun w -> b.load (abs w));
+      store = (fun w v -> b.store (abs w) v);
+      fetch_add = (fun w d -> b.fetch_add (abs w) d);
+      flush = (fun w -> b.flush (abs w));
+      fence = b.fence;
+    }
+
+  let views b =
+    ( sub b ~first:0 ~last:prov_base,
+      sub b ~first:prov_base ~last:sites_base,
+      sub b ~first:sites_base ~last:tsdb_base,
+      sub b ~first:tsdb_base ~last:words )
+
+  let format b =
+    if b.words < words then invalid_arg "Obs.Blackbox.format: window too small";
+    let fb, pb, sb, tb = views b in
+    {
+      flight = Flight.format fb ~capacity:flight_capacity;
+      prov = Prof.Ring.format pb ~capacity:prov_capacity;
+      sites = Prof.Ptab.format sb ~capacity:sites_capacity;
+      tsdb = Tsdb.format tb;
+    }
+
+  let attach b =
+    if b.words < words then None
+    else
+      let fb, pb, sb, tb = views b in
+      match
+        (Flight.attach fb, Prof.Ring.attach pb, Prof.Ptab.attach sb, Tsdb.attach tb)
+      with
+      | Some flight, Some prov, Some sites, Some tsdb ->
+        Some { flight; prov; sites; tsdb }
+      | _ -> None
 end
 
 (* ------------------------------------------------------------------ *)

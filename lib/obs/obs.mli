@@ -337,24 +337,49 @@ module Span : sig
       contributions, e.g. allocator time minus its own flush time). *)
 end
 
+(** {1 Persistent windows}
+
+    Every crash-surviving view in this library — the flight recorder,
+    the provenance ring, the site-name table and the metrics black box —
+    lives in a window of simulated NVM and is built from one ring codec
+    and one name-table codec:
+
+    - {b the ring}: [capacity] slots of [lines] cache lines each, a
+      record being [\[seq | payload ... | checksum | 0\]].  The
+      sequence number (1-based, 0 = never written) is word 0; the
+      checksum, a nonzero 62-bit fold of seq and every payload word
+      seeded per view, is the second-to-last word.  A record whose lines
+      reached the persistent view mid-composition fails its checksum and
+      is skipped, never misparsed.  The head cursor is a window word that
+      is never flushed (its durable value would race the records it
+      counts) and is rebuilt at attach as [max (valid seq) + 1].
+    - {b the name table}: one-line records indexed by id, word 0 the
+      length in bytes (0 = empty) and words 1..7 up to 49 bytes.  The
+      length word is stored last, so an eviction that persists the line
+      mid-write reads back as an empty slot, never a torn name.
+      Persisting a name is 1 flush + 1 fence.
+
+    lib/pmem depends on lib/obs, so these codecs cannot reach the NVM
+    directly; they write through an abstract {!Flight.backend} that
+    [Pmem.flight_backend] constructs over a reserved window of a region,
+    routing flushes and fences through the write-combining pipeline. *)
+
+module Ring : sig
+  val checksum_word : lines:int -> int
+  (** Offset of the checksum word within a [lines]-line record (the
+      payload sits between it and seq; the word after it is zero). *)
+end
+
 (** {1 Persistent flight recorder}
 
     A fixed-size ring of rare lifecycle events (superblocks, roots,
-    heap open/close, recovery, transactions, slow ops, SLO breaches)
-    living in simulated NVM, written with flush/fence discipline so that
-    after a crash the last N events survive in the heap image and explain
-    how the heap got into its state.  Nothing is recorded per operation:
-    [Ralloc.malloc]/[free] log no event and stay flush-free.
-
-    The ring is position-independent: entries carry sequence numbers,
-    event kinds and region {e offsets}, never virtual addresses, so an
-    image can be inspected by a process that never maps the heap at the
-    original address (see [bin/rstat]).
-
-    lib/pmem depends on lib/obs, so this module cannot reach the NVM
-    directly; it writes through an abstract {!Flight.backend} that
-    [Pmem.flight_backend] constructs over a reserved window of a region,
-    routing flushes and fences through the write-combining pipeline. *)
+    heap open/close, recovery, transactions, slow ops, SLO breaches),
+    one 1-line ring record per event, written with flush/fence
+    discipline so that after a crash the last N events survive in the
+    heap image and explain how the heap got into its state.  Nothing is
+    recorded per operation: [Ralloc.malloc]/[free] log no event and stay
+    flush-free.  An image can be inspected by a process that never maps
+    the heap at the original address (see [bin/rstat]). *)
 
 module Flight : sig
   type backend = {
@@ -365,8 +390,9 @@ module Flight : sig
     flush : int -> unit;  (** write back the line containing the word *)
     fence : unit -> unit;
   }
-  (** How the recorder reaches its NVM window.  All indices are words
-      relative to the window start, which must be cache-line aligned. *)
+  (** How every persistent view reaches its NVM window.  All indices are
+      words relative to the window start, which must be cache-line
+      aligned. *)
 
   (** Event kind codes stored in entries (all < 16).  {!Kind.name} maps a
       code back to a label for display. *)
@@ -434,8 +460,13 @@ module Flight : sig
 
   val words_for : capacity:int -> int
   (** Window size in words needed for a ring of [capacity] entries
-      (capacity is rounded up to a power of two): the 3-line header plus
-      one 64-byte line per entry. *)
+      (capacity is rounded up to a power of two): the 3-line header
+      (magic, capacity, head cursor, 16 per-kind counters) plus one
+      64-byte line per entry. *)
+
+  val slot_word : int -> int
+  (** Window word where entry slot [s] starts.  An entry is
+      [\[seq | kind | a | b | c | ts_ns | checksum | 0\]]. *)
 
   val format : backend -> capacity:int -> t
   (** Initialize a fresh ring in the window: magic, capacity, zeroed
@@ -512,9 +543,9 @@ end
     true census.  Frees of sampled blocks cancel their samples.
 
     Attribution survives crashes: sampled allocations and their frees are
-    also written to a persistent {e provenance ring} ({!Prof.Ring}, the
-    flight recorder's checksummed entry protocol over its own
-    metadata-region window) and site names to a persistent interned table
+    also written to a persistent {e provenance ring} ({!Prof.Ring}, a
+    second ring in the flight recorder's format, next to it in the
+    {!Blackbox} window) and site names to a persistent interned table
     ({!Prof.Ptab}), so an offline inspector ([rstat --prof]) can replay
     which sites allocated the blocks that survived a [kill -9].
 
@@ -659,7 +690,7 @@ module Prof : sig
       The crash-surviving record of sampled allocations and frees: the
       flight recorder's one-line checksummed entry protocol (2 flushes +
       1 fence per entry, torn tails detected, head cursor rebuilt at
-      attach) over its own reserved window, with (site, size, offset)
+      attach) over its own view, with (site, size, offset)
       payloads.  Recording is {e not} gated on {!Flight.set_enabled} —
       the allocator gates on {!on} instead. *)
 
@@ -721,12 +752,9 @@ module Prof : sig
 
   (** {2 Persistent site-name table}
 
-      A fixed-capacity array of one-line records indexed by site id,
-      written durably the first time a site is sampled on a heap, so ring
-      entries resolve to names offline.  The length word is stored last
-      within the record's single line, so a spontaneous eviction that
-      persists the line mid-write reads back as an empty slot, never a
-      torn name. *)
+      A header line (magic, capacity) over the shared name table,
+      indexed by site id and written durably the first time a site is
+      sampled on a heap, so ring entries resolve to names offline. *)
 
   module Ptab : sig
     type t
@@ -737,6 +765,10 @@ module Prof : sig
 
     val words_for : capacity:int -> int
     (** Window words needed for [capacity] site records. *)
+
+    val slot_word : int -> int
+    (** Window word where site [id]'s one-line record starts (its length
+        word; the name bytes follow). *)
 
     val format : Flight.backend -> capacity:int -> t
     (** Initialize an empty table in the window; durability is the
@@ -763,24 +795,24 @@ end
 
 (** {1 Persistent metrics time-series black box}
 
-    An aircraft-style flight-data recorder for {e metrics}: a reserved
-    NVM window holding three ring buffers of checksummed, fenced sample
-    records at increasing aggregation — every sampler tick lands in the
-    fine ring, every {!Tsdb.mid_ratio} ticks their {e sum} is appended
-    to the mid ring, every {!Tsdb.coarse_ratio} ticks to the coarse
-    ring — so a crashed image still holds a recent high-resolution
-    timeline plus hours of coarse history.  Downsampling happens at
-    write time and conserves sums (and therefore means, via the stored
-    tick count), so recovery needs no replay: [rstat --timeline] just
-    re-attaches the rings and reads.
+    An aircraft-style flight-data recorder for {e metrics}: three
+    4-line rings of checksummed, fenced sample records at increasing
+    aggregation — every sampler tick lands in the fine ring, every
+    {!Tsdb.mid_ratio} ticks their {e sum} is appended to the mid ring,
+    every {!Tsdb.coarse_ratio} ticks to the coarse ring — so a crashed
+    image still holds a recent high-resolution timeline plus hours of
+    coarse history.  Downsampling happens at write time and conserves
+    sums (and therefore means, via the stored tick count), so recovery
+    needs no replay: [rstat --timeline] just re-attaches the rings and
+    reads.  Series names live in the shared name table.
 
-    Same durability discipline as the {!Flight} recorder: records are
-    position-independent, value lines are stored before the checksummed
-    header line so torn records are detected and dropped at attach, head
-    cursors are volatile and rebuilt as max(valid seq) + 1, and each
-    tick costs a bounded number of flushes plus exactly one fence —
-    byte-identical in both pmem modes, and a true no-op while
-    disabled. *)
+    The rings are instances of the one ring codec (see
+    {!section-"Persistent windows"}): a record is
+    [\[seq | ts_ns | count | v0 .. v23 | 0 0 0 | checksum | 0\]], torn
+    records are detected and dropped, head cursors are rebuilt as
+    [max (valid seq) + 1], and each tick costs a bounded number of
+    flushes plus exactly one fence — byte-identical in both pmem modes,
+    and a true no-op while disabled. *)
 
 module Tsdb : sig
   val max_series : int
@@ -808,15 +840,15 @@ module Tsdb : sig
   (** Fine ticks aggregated into one coarse record (60). *)
 
   val record_lines : int
-  (** Cache lines per sample record — also the number of flushes each
-      record's composition issues (the per-tick flush count is
+  (** Cache lines per sample record (4) — also the number of flushes
+      each record's composition issues (the per-tick flush count is
       [record_lines] for the fine record plus [record_lines] more for
       each mid/coarse window the tick closes). *)
 
   val words_for : unit -> int
-  (** Window size in words for the whole black box (header + name table
-      + all three rings); the geometry is fixed at build time, so the
-      metadata-region carve-out can never drift from the writer. *)
+  (** Window size in words for the whole black box (header, cursors,
+      name table and all three rings); the geometry is fixed at build
+      time, so a window sized by it can never drift from the writer. *)
 
   type t
   (** An attached black box: a window plus its volatile cursors and
@@ -833,6 +865,10 @@ module Tsdb : sig
 
   type ring = [ `Fine | `Mid | `Coarse ]
   (** The three resolutions, finest first. *)
+
+  val slot_word : ring -> int -> int
+  (** Window word where slot [s] of a ring starts.  Value [i] of a
+      record sits at offset [3 + i]. *)
 
   val format : Flight.backend -> t
   (** Initialize a fresh black box in the window: magic, geometry
@@ -956,6 +992,44 @@ module Tsdb : sig
     (** The series id a name was declared under (for picking values out
         of {!tick}'s array). *)
   end
+end
+
+(** {1 The black box window}
+
+    The four crash-surviving views share one line-aligned window, split
+    here so a heap reserves a single carve-out whose geometry can never
+    drift from the writers: the flight ring ({!flight_capacity}
+    entries), the provenance ring (1024), the site-name table
+    ({!sites_capacity}) and the metrics black box, in that order.
+    Each view writes through its own bounds-checked sub-window, so no
+    view can write into its neighbour's records. *)
+
+module Blackbox : sig
+  val flight_capacity : int
+  (** Flight-ring entries (256). *)
+
+  val sites_capacity : int
+  (** Site-name slots (128; sites with higher ids are not persisted). *)
+
+  val words : int
+  (** Window size in words for all four views. *)
+
+  type t = {
+    flight : Flight.t;
+    prov : Prof.Ring.t;
+    sites : Prof.Ptab.t;
+    tsdb : Tsdb.t;
+  }
+  (** The four attached views. *)
+
+  val format : Flight.backend -> t
+  (** Format all four views in a fresh window; durability is the
+      caller's concern (heap formatting ends in a full flush).
+      @raise Invalid_argument if the window is smaller than {!words}. *)
+
+  val attach : Flight.backend -> t option
+  (** Re-attach all four views, rebuilding every ring cursor; [None] if
+      the window is too small or any view does not parse. *)
 end
 
 (** {1 Registry} *)

@@ -9,12 +9,14 @@ let meta_heap_id = 3
 let meta_layout_version = 4
 let meta_free_list_head = 8
 
-(* Bumped whenever the metadata word layout changes incompatibly (a new
-   carve-out moves [meta_words], a field moves).  v2 = the provenance
-   ring + site table carve-outs; v3 = the metrics time-series black
-   box; images formatted before the version word existed read 0 here.
-   Attach must refuse a mismatch rather than misread offsets. *)
-let layout_version = 3
+(* Bumped whenever the metadata word layout changes incompatibly (the
+   carve-out moves or changes size, a field moves, a view's record
+   format changes).  v2 = the provenance ring + site table; v3 = the
+   metrics time-series black box; v4 = the four views folded into one
+   carve-out with one ring and one name codec (new Tsdb record and name
+   layout).  Images formatted before the version word existed read 0
+   here.  Attach must refuse a mismatch rather than misread offsets. *)
+let layout_version = 4
 let roots_base = 16
 
 let meta_root i =
@@ -27,33 +29,13 @@ let class_records_base = roots_base + max_roots
 let meta_class_block_size c = class_records_base + (c * 8)
 let meta_class_partial_head c = class_records_base + (c * 8) + 1
 
-(* The flight-recorder ring is carved out of the tail of the metadata
-   region: a reserved, line-aligned window after the class records.
-   [flight_words] comes from Obs.Flight so the carve-out can never drift
-   from the recorder's own layout. *)
-let flight_base = class_records_base + ((Size_class.count + 1) * 8) + 8
-let flight_capacity = 256
-let flight_words = Obs.Flight.words_for ~capacity:flight_capacity
-
-(* The heap-provenance profiler's crash-surviving state sits after the
-   flight ring: the provenance ring (sampled allocations and their
-   frees, same entry protocol) and the interned site-name table that
-   lets an offline inspector resolve its site ids.  Sizes come from
-   Obs.Prof so the carve-outs can never drift from the writers. *)
-let prov_base = flight_base + flight_words
-let prov_capacity = 1024
-let prov_words = Obs.Prof.Ring.words_for ~capacity:prov_capacity
-let ptab_base = prov_base + prov_words
-let ptab_capacity = 128
-let ptab_words = Obs.Prof.Ptab.words_for ~capacity:ptab_capacity
-
-(* The metrics time-series black box closes the metadata tail: three
-   multi-resolution sample rings plus their series-name table, geometry
-   fixed inside Obs.Tsdb so the carve-out can never drift from the
-   writer.  Its arrival is the v2 -> v3 layout bump. *)
-let tsdb_base = ptab_base + ptab_words
-let tsdb_words = Obs.Tsdb.words_for ()
-let meta_words = tsdb_base + tsdb_words
+(* The crash-surviving telemetry (flight ring, provenance ring,
+   site-name table, metrics black box) is one reserved, line-aligned
+   window after the class records.  Obs.Blackbox owns its geometry, so
+   the carve-out can never drift from the writers. *)
+let obs_base = class_records_base + ((Size_class.count + 1) * 8) + 8
+let obs_words = Obs.Blackbox.words
+let meta_words = obs_base + obs_words
 let magic_value = 0x52414C4C4F43 (* "RALLOC" *)
 let sb_size_word = 0
 let sb_used_word = 1

@@ -46,10 +46,11 @@ val meta_layout_version : int
     with.  Images formatted before the word existed read 0. *)
 
 val layout_version : int
-(** The layout version this build writes and requires (3: the metrics
-    time-series black box carve-out; 2 was the provenance-ring and
-    site-table carve-outs).  Attach refuses images stamped with any
-    other version instead of misreading offsets. *)
+(** The layout version this build writes and requires (4: one
+    telemetry carve-out whose views share one ring codec and one name
+    codec; 3 added the metrics black box, 2 the provenance ring and
+    site table).  Attach refuses images stamped with any other version
+    instead of misreading offsets. *)
 
 val meta_free_list_head : int
 (** Word holding the counted head of the superblock free list. *)
@@ -64,48 +65,19 @@ val meta_class_partial_head : int -> int
 (** Counted head of class [c]'s partial-superblock list, one word after
     its block-size word. *)
 
-val flight_base : int
-(** First word of the flight-recorder window: a reserved, line-aligned
-    carve-out at the tail of the metadata region holding the persistent
-    event ring (see {!Obs.Flight}). *)
+val obs_base : int
+(** First word of the telemetry window: one reserved, line-aligned
+    carve-out at the tail of the metadata region holding the flight
+    ring, the provenance ring, the site-name table and the metrics black
+    box (see {!Obs.Blackbox}). *)
 
-val flight_capacity : int
-(** Ring capacity in events (256; each event is one cache line). *)
-
-val flight_words : int
-(** Window size, [Obs.Flight.words_for ~capacity:flight_capacity]. *)
-
-val prov_base : int
-(** First word of the provenance-ring window (sampled allocations and
-    their frees, see {!Obs.Prof.Ring}), directly after the flight ring. *)
-
-val prov_capacity : int
-(** Provenance ring capacity in entries (1024, one cache line each). *)
-
-val prov_words : int
-(** Window size, [Obs.Prof.Ring.words_for ~capacity:prov_capacity]. *)
-
-val ptab_base : int
-(** First word of the persistent site-name table window (see
-    {!Obs.Prof.Ptab}), directly after the provenance ring. *)
-
-val ptab_capacity : int
-(** Site-name slots (128; sites with higher ids are not persisted). *)
-
-val ptab_words : int
-(** Window size, [Obs.Prof.Ptab.words_for ~capacity:ptab_capacity]. *)
-
-val tsdb_base : int
-(** First word of the metrics time-series black box window (see
-    {!Obs.Tsdb}), directly after the site-name table — the carve-out
-    that bumped the layout to v3. *)
-
-val tsdb_words : int
-(** Window size, [Obs.Tsdb.words_for ()] — the geometry is fixed inside
-    Obs.Tsdb, so the carve-out can never drift from the writer. *)
+val obs_words : int
+(** Window size, [Obs.Blackbox.words] — the split into views is owned
+    by lib/obs, so the carve-out can never drift from the writers. *)
 
 val meta_words : int
-(** Total size of the metadata region in words, carve-outs included. *)
+(** Total size of the metadata region in words, the telemetry window
+    included.  Opening an image with a shorter metadata region fails. *)
 
 val magic_value : int
 (** The formatted-heap magic ("RALLOC" in ASCII). *)

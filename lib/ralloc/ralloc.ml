@@ -30,20 +30,14 @@ type t = {
   use_tcache : bool;
   filters : filter option array;
   heap_name : string;
-  flight : Obs.Flight.t option;
-      (* the persistent flight recorder in the metadata region's reserved
-         window; None only for images formatted before the window existed *)
-  prov : Obs.Prof.Ring.t option;
-      (* the persistent provenance ring (sampled allocations and their
-         frees) right after the flight window; None for pre-v2 images *)
-  ptab : Obs.Prof.Ptab.t option;
-      (* persistent interned site-name table resolving the ring's ids *)
-  ptab_persisted : Bytes.t;
+  obs : Obs.Blackbox.t;
+      (* the crash-surviving telemetry views in the metadata region's
+         reserved tail window: flight ring, provenance ring, site names,
+         metrics black box *)
+  sites_persisted : Bytes.t;
       (* one byte per persistable site id: nonzero once this handle wrote
-         the name to [ptab].  Racy duplicate persists are idempotent. *)
-  tsdb : Obs.Tsdb.t option;
-      (* the metrics time-series black box at the metadata tail; None
-         for pre-v3 images *)
+         the name to the site table.  Racy duplicate persists are
+         idempotent. *)
   hid : int; (* cached meta_heap_id; keys provenance samples per heap *)
   mutable closed : bool;
 }
@@ -138,81 +132,36 @@ let check_open t =
   if t.closed then invalid_arg "Ralloc: heap handle has been closed"
 
 (* ------------------------------------------------------------------ *)
-(* Flight recorder plumbing                                           *)
+(* Telemetry window plumbing                                          *)
 (*                                                                    *)
-(* The persistent event ring lives in the metadata region's reserved  *)
-(* tail window (Layout.flight_base/words) through the abstract        *)
-(* Obs.Flight backend; see lib/obs.  Only rare lifecycle events are  *)
-(* recorded (superblocks, roots, open/close, recovery): malloc and    *)
-(* free log nothing, so their fast path stays flush- and fence-free.  *)
+(* The flight ring, provenance ring, site-name table and metrics black *)
+(* box share one reserved tail window of the metadata region           *)
+(* (Layout.obs_base/obs_words), reached through one abstract Obs       *)
+(* backend and split into views by Obs.Blackbox.  Only rare lifecycle *)
+(* events are flight-recorded (superblocks, roots, open/close,        *)
+(* recovery): malloc and free log nothing, so their fast path stays   *)
+(* flush- and fence-free.                                             *)
 (* ------------------------------------------------------------------ *)
 
 module FK = Obs.Flight.Kind
 
-let flight_window meta =
-  Pmem.flight_backend meta ~first_word:Layout.flight_base
-    ~words:Layout.flight_words
-
 (* A persist:false heap (the LRMalloc baseline) must stay flush-free even
-   with the recorder on; its events are volatile like the rest of it. *)
-let flight_backend_of ~persist meta =
-  let b = flight_window meta in
+   with telemetry on; its views are volatile like the rest of it. *)
+let obs_backend ~persist meta =
+  let b =
+    Pmem.flight_backend meta ~first_word:Layout.obs_base ~words:Layout.obs_words
+  in
   if persist then b
   else { b with Obs.Flight.flush = (fun _ -> ()); fence = (fun () -> ()) }
 
-let flight t = t.flight
+let blackbox t = t.obs
+let flight t = Some t.obs.Obs.Blackbox.flight
 
 let flight_record t ~kind ?(a = 0) ?(b = 0) ?(c = 0) () =
   if Obs.Flight.enabled () then
-    match t.flight with
-    | Some f -> Obs.Flight.record f ~kind ~a ~b ~c ()
-    | None -> ()
+    Obs.Flight.record t.obs.Obs.Blackbox.flight ~kind ~a ~b ~c ()
 
-(* ------------------------------------------------------------------ *)
-(* Heap-provenance profiler plumbing                                  *)
-(*                                                                    *)
-(* The provenance ring and site-name table share the flight window's  *)
-(* carve-out discipline: reserved, line-aligned tail windows accessed *)
-(* through the abstract Obs.Flight backend so the carve-outs can      *)
-(* never drift from the writers (Layout.prov_base / ptab_base).       *)
-(* ------------------------------------------------------------------ *)
-
-let prov_window meta =
-  Pmem.flight_backend meta ~first_word:Layout.prov_base
-    ~words:Layout.prov_words
-
-let ptab_window meta =
-  Pmem.flight_backend meta ~first_word:Layout.ptab_base
-    ~words:Layout.ptab_words
-
-(* Same rule as the flight ring: a persist:false heap stays flush-free
-   even when the profiler is on. *)
-let prov_backend_of ~persist meta =
-  let b = prov_window meta in
-  if persist then b
-  else { b with Obs.Flight.flush = (fun _ -> ()); fence = (fun () -> ()) }
-
-let ptab_backend_of ~persist meta =
-  let b = ptab_window meta in
-  if persist then b
-  else { b with Obs.Flight.flush = (fun _ -> ()); fence = (fun () -> ()) }
-
-let prov t = t.prov
-let prov_site_name t id =
-  match t.ptab with Some tab -> Obs.Prof.Ptab.name tab id | None -> None
-
-(* The metrics black box at the metadata tail (Layout.tsdb_base), same
-   carve-out discipline again. *)
-let tsdb_window meta =
-  Pmem.flight_backend meta ~first_word:Layout.tsdb_base
-    ~words:Layout.tsdb_words
-
-let tsdb_backend_of ~persist meta =
-  let b = tsdb_window meta in
-  if persist then b
-  else { b with Obs.Flight.flush = (fun _ -> ()); fence = (fun () -> ()) }
-
-let tsdb t = t.tsdb
+let prov_site_name t id = Obs.Prof.Ptab.name t.obs.Obs.Blackbox.sites id
 
 (* ------------------------------------------------------------------ *)
 (* Region access helpers                                              *)
@@ -289,17 +238,14 @@ let prof_key t off = (t.hid * 0x3f58476d1ce4e5b9) lxor off
    handle samples it, so an offline inspector can resolve the ring's
    ids after a crash.  One flush + fence per (handle, site) lifetime. *)
 let prof_persist_site t site =
-  match t.ptab with
-  | None -> ()
-  | Some tab ->
-      if
-        site >= 0
-        && site < Bytes.length t.ptab_persisted
-        && Bytes.get t.ptab_persisted site = '\000'
-      then begin
-        Bytes.set t.ptab_persisted site '\001';
-        Obs.Prof.Ptab.persist tab site (Obs.Prof.site_name site)
-      end
+  if
+    site >= 0
+    && site < Bytes.length t.sites_persisted
+    && Bytes.get t.sites_persisted site = '\000'
+  then begin
+    Bytes.set t.sites_persisted site '\001';
+    Obs.Prof.Ptab.persist t.obs.Obs.Blackbox.sites site (Obs.Prof.site_name site)
+  end
 
 (* The byte countdown lives in [ds] — the per-domain state malloc has
    already fetched for its thread caches — so the unsampled path is a
@@ -322,11 +268,8 @@ let prof_note_alloc t ds ~va ~cls =
     let off = va - t.sb_base in
     let site = Obs.Prof.current_site () in
     Obs.Prof.sample_alloc ~key:(prof_key t off) ~site ~size:bsize;
-    match t.prov with
-    | Some ring ->
-        prof_persist_site t site;
-        Obs.Prof.Ring.record_alloc ring ~site ~size:bsize ~off
-    | None -> ()
+    prof_persist_site t site;
+    Obs.Prof.Ring.record_alloc t.obs.Obs.Blackbox.prov ~site ~size:bsize ~off
   end
 
 (* [d] rather than a block size: the descriptor load for the size is
@@ -335,12 +278,9 @@ let prof_note_alloc t ds ~va ~cls =
 let prof_note_free t ~off ~d =
   match Obs.Prof.note_free ~key:(prof_key t off) with
   | None -> ()
-  | Some site -> (
-      match t.prov with
-      | Some ring ->
-          Obs.Prof.Ring.record_free ring ~site
-            ~size:(dload t d Layout.d_bsize) ~off
-      | None -> ())
+  | Some site ->
+      Obs.Prof.Ring.record_free t.obs.Obs.Blackbox.prov ~site
+        ~size:(dload t d Layout.d_bsize) ~off
 
 (* ------------------------------------------------------------------ *)
 (* Counted lock-free descriptor lists (Treiber stacks, paper §4.2)    *)
@@ -1055,27 +995,11 @@ let make_handle ?(persist = true) ?sb_base ?(expansion_sbs = 16)
     ?(tcache = true) ~path ~name ~meta ~desc ~sb () =
   let heap_bytes = Pmem.load sb Layout.sb_size_word in
   let nsb = (heap_bytes / Layout.superblock_bytes) - 1 in
-  let flight =
-    (* images formatted before the carve-out existed have a short
-       metadata region — no ring to attach *)
-    if Pmem.size_words meta >= Layout.flight_base + Layout.flight_words then
-      Obs.Flight.attach (flight_backend_of ~persist meta)
-    else None
-  in
-  let prov =
-    if Pmem.size_words meta >= Layout.prov_base + Layout.prov_words then
-      Obs.Prof.Ring.attach (prov_backend_of ~persist meta)
-    else None
-  in
-  let ptab =
-    if Pmem.size_words meta >= Layout.ptab_base + Layout.ptab_words then
-      Obs.Prof.Ptab.attach (ptab_backend_of ~persist meta)
-    else None
-  in
-  let tsdb =
-    if Pmem.size_words meta >= Layout.tsdb_base + Layout.tsdb_words then
-      Obs.Tsdb.attach (tsdb_backend_of ~persist meta)
-    else None
+  let obs =
+    match Obs.Blackbox.attach (obs_backend ~persist meta) with
+    | Some obs -> obs
+    | None ->
+      failwith ("Ralloc: " ^ name ^ ": the telemetry window does not parse")
   in
   let t =
     {
@@ -1093,11 +1017,8 @@ let make_handle ?(persist = true) ?sb_base ?(expansion_sbs = 16)
       use_tcache = tcache;
       filters = Array.make max_roots None;
       heap_name = name;
-      flight;
-      prov;
-      ptab;
-      tsdb;
-      ptab_persisted = Bytes.make Layout.ptab_capacity '\000';
+      obs;
+      sites_persisted = Bytes.make Obs.Blackbox.sites_capacity '\000';
       hid = Pmem.load meta Layout.meta_heap_id;
       closed = false;
     }
@@ -1146,11 +1067,7 @@ let format_heap ?heap_id meta sb sb_bytes =
   done;
   Pmem.store meta Layout.meta_layout_version Layout.layout_version;
   Pmem.store meta Layout.meta_dirty 1;
-  ignore
-    (Obs.Flight.format (flight_window meta) ~capacity:Layout.flight_capacity);
-  ignore (Obs.Prof.Ring.format (prov_window meta) ~capacity:Layout.prov_capacity);
-  ignore (Obs.Prof.Ptab.format (ptab_window meta) ~capacity:Layout.ptab_capacity);
-  ignore (Obs.Tsdb.format (tsdb_window meta));
+  ignore (Obs.Blackbox.format (obs_backend ~persist:true meta));
   Pmem.flush_all meta;
   Pmem.flush_all sb
 
@@ -1176,6 +1093,22 @@ let create ?(name = "heap") ?(persist = true) ?sb_base ?expansion_sbs
 
 let file_names path = (path ^ ".meta", path ^ ".desc", path ^ ".sb")
 
+(* Data from disk is validated before anything reads it at fixed
+   offsets: the magic, the layout version, and a metadata region long
+   enough to hold this build's telemetry window. *)
+let check_image ~who path meta =
+  let fail fmt = Printf.ksprintf (fun s -> failwith (who ^ ": " ^ path ^ s)) fmt in
+  let n = Pmem.size_words meta in
+  if n <= Layout.meta_layout_version
+     || Pmem.load meta Layout.meta_magic <> Layout.magic_value
+  then fail " is not a Ralloc heap";
+  let v = Pmem.load meta Layout.meta_layout_version in
+  if v <> Layout.layout_version then
+    fail ": heap built by layout v%d, expected v%d" v Layout.layout_version;
+  if n < Layout.meta_words then
+    fail ": metadata region holds %d words, layout v%d needs %d" n v
+      Layout.meta_words
+
 let init ?persist ?sb_base ?expansion_sbs ~path ~size () =
   let m, d, s = file_names path in
   let existing = List.filter Sys.file_exists [ m; d; s ] in
@@ -1195,15 +1128,11 @@ let init ?persist ?sb_base ?expansion_sbs ~path ~size () =
   let sb, _ =
     Pmem.open_file ~name:(name ^ ".sb") ~path:s ~size_bytes:sb_bytes ()
   in
-  if existed && Pmem.load meta Layout.meta_magic <> Layout.magic_value then
-    failwith ("Ralloc.init: " ^ path ^ " is not a Ralloc heap");
-  if existed then begin
-    let v = Pmem.load meta Layout.meta_layout_version in
-    if v <> Layout.layout_version then
-      failwith
-        (Printf.sprintf "Ralloc.init: %s: heap built by layout v%d, expected v%d"
-           path v Layout.layout_version)
-  end;
+  (if existed then
+     try check_image ~who:"Ralloc.init" path meta
+     with e ->
+       List.iter Pmem.close_file [ meta; desc; sb ];
+       raise e);
   if not existed then format_heap meta sb sb_bytes;
   let t =
     make_handle ?persist ?sb_base ?expansion_sbs ~path:(Some path) ~name ~meta
@@ -1234,14 +1163,7 @@ let open_image ~path =
         failwith ("Ralloc.open_image: missing heap file " ^ f))
     [ m; d; s ];
   let meta = Pmem.load_image ~path:m in
-  if Pmem.load meta Layout.meta_magic <> Layout.magic_value then
-    failwith ("Ralloc.open_image: " ^ path ^ " is not a Ralloc heap");
-  (let v = Pmem.load meta Layout.meta_layout_version in
-   if v <> Layout.layout_version then
-     failwith
-       (Printf.sprintf
-          "Ralloc.open_image: %s: heap built by layout v%d, expected v%d" path v
-          Layout.layout_version));
+  check_image ~who:"Ralloc.open_image" path meta;
   let desc = Pmem.load_image ~path:d in
   let sb = Pmem.load_image ~path:s in
   let t =

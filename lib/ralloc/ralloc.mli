@@ -79,7 +79,8 @@ val init :
     allocating.
     @raise Failure on an existing image whose stamped metadata-layout
     version differs from {!Layout.layout_version} ("heap built by layout
-    vN, expected vM") — refusing up front beats misreading offsets. *)
+    vN, expected vM") or whose metadata region is shorter than
+    {!Layout.meta_words} — refusing up front beats misreading offsets. *)
 
 val close : t -> unit
 (** Graceful shutdown: returns the calling domain's cached blocks to their
@@ -94,8 +95,9 @@ val open_image : path:string -> t * status
     [rstat] inspector.  {!audit}, {!census}, and even a trial {!recover}
     may be run against the in-memory copy without mutating the image.
     Status is {!Clean_restart} or {!Dirty_restart} (never {!Fresh}).
-    @raise Failure if the files are missing, not a Ralloc heap, or built
-    by a different metadata-layout version. *)
+    @raise Failure if the files are missing, not a Ralloc heap, built by
+    a different metadata-layout version, or hold a metadata region
+    shorter than {!Layout.meta_words}. *)
 
 val name : t -> string
 (** The heap's display name (its path, or the [?name] passed to {!create}). *)
@@ -288,60 +290,53 @@ val valid_block : t -> int -> bool
 (** True iff [va] is the start of a currently plausible block — used by
     tests and the conservative scanner. *)
 
-(** {1 Flight recorder}
+(** {1 Crash-surviving telemetry}
 
-    Every heap reserves a window at the tail of its metadata region for a
-    persistent event ring ({!Obs.Flight}): when [Obs.Flight.set_enabled
-    true], allocator lifecycle events — superblock
-    provision/acquire/retire, root updates, heap open/close, recovery
-    phase boundaries — are recorded there with full flush/fence
-    discipline, so the last {!Layout.flight_capacity} events survive a
-    crash inside the heap image.  {!malloc} and {!free} record nothing:
-    their fast path issues no flush and no fence. *)
+    Every heap reserves one window at the tail of its metadata region
+    for the telemetry views of {!Obs.Blackbox}: the flight ring, the
+    provenance ring, the site-name table and the metrics black box.
+    Writes go through the region's normal persistence pipeline except on
+    [persist:false] heaps, where flush and fence are nulled (recording
+    on a baseline heap must not add persistence traffic the allocator
+    itself would not).
+
+    When [Obs.Flight.set_enabled true], allocator lifecycle events —
+    superblock provision/acquire/retire, root updates, heap open/close,
+    recovery phase boundaries — are recorded in the flight ring with
+    full flush/fence discipline, so the last
+    {!Obs.Blackbox.flight_capacity} events survive a crash inside the
+    heap image.  {!malloc} and {!free} record nothing: their fast path
+    issues no flush and no fence.
+
+    When the sampling profiler is on ([Obs.Prof.set_enabled true]),
+    malloc pays one per-domain countdown decrement per allocation;
+    roughly every {!Obs.Prof.rate} allocated bytes the winning block is
+    attributed to the current interned site ({!Obs.Prof.set_site}) both
+    in the volatile tally table and, durably, in the provenance ring and
+    site-name table — so [rstat --prof] can say which site allocated the
+    blocks that survived a crash.
+
+    A sampler thread writes checksummed, fenced records into the
+    metrics black box ({!Obs.Tsdb}), so [rstat --timeline] can
+    reconstruct the last minutes of ops/s, queue depth, occupancy and
+    friends from a dirty image. *)
+
+val blackbox : t -> Obs.Blackbox.t
+(** The heap's attached telemetry views. *)
 
 val flight : t -> Obs.Flight.t option
-(** The heap's attached flight recorder.  [None] only for images
-    formatted before the reserved window existed. *)
+(** The heap's flight ring; always [Some] (the option is kept for
+    callers written against images that could lack one). *)
 
 val flight_record : t -> kind:int -> ?a:int -> ?b:int -> ?c:int -> unit -> unit
 (** Record one event in the heap's flight ring (no-op while the recorder
-    is disabled or absent).  Used by the allocator's own hooks and by
-    cooperating layers — lib/txn records its commits and aborts here. *)
-
-(** {1 Heap provenance}
-
-    When the sampling profiler is on ([Obs.Prof.set_enabled true]), malloc
-    pays one per-domain countdown decrement per allocation; roughly every
-    {!Obs.Prof.rate} allocated bytes the winning block is attributed to
-    the current interned site ({!Obs.Prof.set_site}) both in the volatile
-    tally table and, durably, in the provenance ring carved out of the
-    metadata region next to the flight window — so [rstat --prof] can say
-    which site allocated the blocks that survived a crash. *)
-
-val prov : t -> Obs.Prof.Ring.t option
-(** The heap's attached provenance ring.  [None] only for images
-    formatted before the layout-v2 carve-out existed. *)
+    is disabled).  Used by the allocator's own hooks and by cooperating
+    layers — lib/txn records its commits and aborts here. *)
 
 val prov_site_name : t -> int -> string option
 (** Resolve a provenance-ring site id against the heap's persistent
-    site-name table ([None] if the table is absent, the id is out of
-    range, or the slot was never persisted). *)
-
-(** {1 Metrics black box}
-
-    The last carve-out of the metadata region (layout v3) is a
-    crash-surviving time-series recorder ({!Obs.Tsdb}): three
-    multi-resolution sample rings a sampler thread writes checksummed,
-    fenced records into, so an offline inspector ([rstat --timeline])
-    can reconstruct the last minutes of ops/s, queue depth, occupancy
-    and friends from a dirty image. *)
-
-val tsdb : t -> Obs.Tsdb.t option
-(** The heap's attached metrics black box.  [None] only for images
-    formatted before the layout-v3 carve-out existed.  Writes go through
-    the region's normal persistence pipeline except on [persist:false]
-    heaps, where flush and fence are nulled (sampling a baseline heap
-    must not add persistence traffic the allocator itself would not). *)
+    site-name table ([None] if the id is out of range or the slot was
+    never persisted). *)
 
 val tsdb_global_sources : unit -> (string * (float -> int)) list
 (** The heap-free standard series for an {!Obs.Tsdb.Sampler}, read

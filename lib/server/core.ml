@@ -939,10 +939,11 @@ let start ?config addr =
   (match metrics_fd with
   | Some fd -> srv.metrics_thread <- Some (Thread.create (fun () -> metrics_loop srv fd) ())
   | None -> ());
-  (match Ralloc.tsdb st.heap with
-  | Some db ->
-    srv.sampler_thread <- Some (Thread.create (fun () -> sampler_loop srv db) ())
-  | None -> ());
+  srv.sampler_thread <-
+    Some
+      (Thread.create
+         (fun () -> sampler_loop srv (Ralloc.blackbox st.heap).Obs.Blackbox.tsdb)
+         ());
   srv
 
 let sockaddr t = t.addr

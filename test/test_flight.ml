@@ -74,8 +74,7 @@ let test_torn_slot_detected () =
       (* hand-compose a torn entry in the next slot: seq and payload
          written, checksum never stored — the state a spontaneous eviction
          can persist mid-[record] *)
-      let header_words = 24 and entry_words = 8 in
-      let w = header_words + (1 * entry_words) in
+      let w = Obs.Flight.slot_word 1 in
       b.Obs.Flight.store w 2;
       b.Obs.Flight.store (w + 1) Obs.Flight.Kind.free;
       b.Obs.Flight.store (w + 2) 99;
@@ -178,7 +177,9 @@ let prop_torn_tail_detected =
     QCheck2.Gen.(
       pair (int_range 1 20)
         (list_size (int_range 1 6)
-           (pair (int_bound 6) (int_bound 1_000_000))))
+           (pair
+              (int_bound (Obs.Ring.checksum_word ~lines:1))
+              (int_bound 1_000_000))))
     (fun (n_good, torn_words) ->
       let capacity = 32 in
       Pmem.set_latency ~flush_ns:0 ~fence_ns:0 ();
@@ -198,14 +199,14 @@ let prop_torn_tail_detected =
              checksum word stays zero (an entry's checksum over its real
              contents cannot be among the torn words: record computes it
              last, and a zero checksum never matches) *)
-          let header_words = 24 and entry_words = 8 in
-          let w = header_words + (n_good mod capacity * entry_words) in
+          let w = Obs.Flight.slot_word (n_good mod capacity) in
+          let ck = Obs.Ring.checksum_word ~lines:1 in
           b.Obs.Flight.store w (n_good + 1);
           List.iter
             (fun (off, v) ->
-              if off >= 1 && off <= 5 then b.Obs.Flight.store (w + off) v)
+              if off >= 1 && off < ck then b.Obs.Flight.store (w + off) v)
             torn_words;
-          b.Obs.Flight.store (w + 6) 0;
+          b.Obs.Flight.store (w + ck) 0;
           b.Obs.Flight.flush w;
           b.Obs.Flight.fence ();
           Pmem.crash r;
@@ -254,6 +255,133 @@ let prop_seq_monotonic_across_crashes =
             batches;
           !ok))
 
+(* ---------------- the four views in one heap window ---------------- *)
+
+type op = Root of int * bool | Alloc of int | Free of int | Tick of int
+
+(* All four black-box views share one carve-out of the metadata region.
+   A random interleaving of root updates, sampled mallocs and frees (the
+   profiler at rate 1 samples every one) and metrics ticks runs on one
+   heap under the persistency checker with eviction on; after a crash
+   and reopen every view must hold exactly the records it had fenced —
+   the same tails as just before the crash, with the payloads the model
+   predicts — none torn, none parsed from a neighbour's lines, and the
+   checker must see no durability violation.  Op counts stay under every
+   ring's capacity, so nothing wraps and the model is exact. *)
+let prop_views_share_one_window =
+  QCheck2.Test.make ~name:"blackbox: four views in one heap window survive a crash"
+    ~count:25
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 120)
+           (oneof
+              [
+                map2 (fun i z -> Root (i, z)) (int_bound 3) bool;
+                map (fun n -> Alloc n) (int_range 8 2048);
+                map (fun k -> Free k) (int_bound 1000);
+                map (fun v -> Tick v) (int_bound 1_000_000);
+              ]))
+        (float_range 0. 0.5))
+    (fun (ops, evict_rate) ->
+      Pmem.set_latency ~flush_ns:0 ~fence_ns:0 ();
+      Obs.Prof.reset ();
+      Obs.Prof.set_rate 1;
+      Obs.Flight.set_enabled true;
+      Obs.Prof.set_enabled true;
+      Obs.Tsdb.set_enabled true;
+      Pmem.Check.set_enabled true;
+      let ck0 = Pmem.Check.totals () in
+      Fun.protect
+        ~finally:(fun () ->
+          Pmem.Check.set_enabled false;
+          Obs.Tsdb.set_enabled false;
+          Obs.Prof.set_enabled false;
+          Obs.Flight.set_enabled false;
+          Obs.Prof.reset ();
+          Obs.Prof.set_rate Obs.Prof.default_rate)
+        (fun () ->
+          let heap = Ralloc.create ~size:(4 * 1024 * 1024) () in
+          let bb = Ralloc.blackbox heap in
+          let site = Obs.Prof.site "xview.alloc" in
+          Obs.Prof.set_site site;
+          let series = Obs.Tsdb.declare bb.tsdb "xview.tick" in
+          Ralloc.set_eviction_rate heap evict_rate;
+          let live = ref [] and roots = ref [] and prov = ref [] and ticks = ref [] in
+          let off va = va - Ralloc.sb_base heap in
+          List.iter
+            (function
+              | Root (i, zero) ->
+                let va = match !live with (v, _) :: _ when not zero -> v | _ -> 0 in
+                Ralloc.set_root heap i va;
+                roots := (i, if va = 0 then 0 else off va) :: !roots
+              | Alloc n ->
+                let va = Ralloc.malloc heap n in
+                let size = Ralloc.Size_class.(block_size (of_size n)) in
+                live := (va, size) :: !live;
+                prov := (true, size, off va) :: !prov
+              | Free k when !live <> [] ->
+                let ((va, size) as b) = List.nth !live (k mod List.length !live) in
+                live := List.filter (( <> ) b) !live;
+                Ralloc.free heap va;
+                prov := (false, size, off va) :: !prov
+              | Free _ -> ()
+              | Tick v ->
+                Obs.Tsdb.sample bb.tsdb ~ts_ns:(List.length !ticks + 1) [| v |];
+                ticks := v :: !ticks)
+            ops;
+          let flight0 = Obs.Flight.tail bb.flight in
+          let n0 = Obs.Flight.total_recorded bb.flight in
+          let prov0 = Obs.Prof.Ring.entries bb.prov in
+          let rings = [ `Fine; `Mid; `Coarse ] in
+          let points0 = List.map (Obs.Tsdb.points bb.tsdb) rings in
+          let heap', _ = Ralloc.crash_and_reopen heap in
+          let bb' = Ralloc.blackbox heap' in
+          let ckd = Pmem.Check.diff (Pmem.Check.totals ()) ck0 in
+          (* the reopen itself logs one dirty heap_open after the crash *)
+          let kept, reopened =
+            List.partition
+              (fun (e : Obs.Flight.event) -> e.seq <= n0)
+              (Obs.Flight.tail bb'.flight)
+          in
+          let got_roots =
+            List.filter_map
+              (fun (e : Obs.Flight.event) ->
+                if e.kind = Obs.Flight.Kind.root_set then Some (e.a, e.arg_b)
+                else None)
+              (Obs.Flight.tail bb'.flight)
+          in
+          let got_prov =
+            List.map
+              (fun (e : Obs.Prof.Ring.entry) -> (e.is_alloc, e.psize, e.poff))
+              (Obs.Prof.Ring.entries bb'.prov)
+          in
+          let got_ticks =
+            List.map
+              (fun (p : Obs.Tsdb.point) -> p.p_values.(series))
+              (Obs.Tsdb.points bb'.tsdb `Fine)
+          in
+          let ok =
+            kept = flight0
+            && List.map (fun (e : Obs.Flight.event) -> (e.kind, e.a)) reopened
+               = [ (Obs.Flight.Kind.heap_open, 2) ]
+            && Obs.Prof.Ring.entries bb'.prov = prov0
+            && List.map (Obs.Tsdb.points bb'.tsdb) rings = points0
+            && got_roots = List.rev !roots
+            && got_prov = List.rev !prov
+            && List.for_all
+                 (fun (e : Obs.Prof.Ring.entry) -> e.psite = site)
+                 (Obs.Prof.Ring.entries bb'.prov)
+            && got_ticks = List.rev !ticks
+            && Obs.Flight.torn_slots bb'.flight = 0
+            && Obs.Prof.Ring.torn_slots bb'.prov = 0
+            && Obs.Tsdb.torn_slots bb'.tsdb = 0
+            && (!prov = [] || Ralloc.prov_site_name heap' site = Some "xview.alloc")
+            && Obs.Tsdb.series_name bb'.tsdb series = Some "xview.tick"
+            && ckd.Pmem.Check.t_violations = 0
+          in
+          Ralloc.close heap';
+          ok))
+
 let () =
   Alcotest.run "flight"
     [
@@ -279,4 +407,6 @@ let () =
             prop_torn_tail_detected;
             prop_seq_monotonic_across_crashes;
           ] );
+      ( "black box",
+        List.map QCheck_alcotest.to_alcotest [ prop_views_share_one_window ] );
     ]

@@ -104,11 +104,8 @@ let test_disabled_inert () =
   List.iter (Ralloc.free heap) vas;
   Alcotest.(check int) "no samples while off" 0 (Prof.samples ());
   Alcotest.(check int) "no tallies while off" 0 (Prof.live_bytes ());
-  (match Ralloc.prov heap with
-  | Some ring ->
-    Alcotest.(check int) "no provenance entries while off" 0
-      (Prof.Ring.total_recorded ring)
-  | None -> Alcotest.fail "fresh heap has no provenance ring");
+  Alcotest.(check int) "no provenance entries while off" 0
+    (Prof.Ring.total_recorded (Ralloc.blackbox heap).Obs.Blackbox.prov);
   Ralloc.close heap
 
 let test_obs_disabled_overrides () =
@@ -178,7 +175,10 @@ let prop_torn_tail_detected =
     ~count:60
     QCheck2.Gen.(
       pair (int_range 1 20)
-        (list_size (int_range 1 6) (pair (int_bound 6) (int_bound 1_000_000))))
+        (list_size (int_range 1 6)
+           (pair
+              (int_bound (Obs.Ring.checksum_word ~lines:1))
+              (int_bound 1_000_000))))
     (fun (n_good, torn_words) ->
       let capacity = 32 in
       with_ring ~capacity (fun r b t ->
@@ -187,14 +187,14 @@ let prop_torn_tail_detected =
           done;
           (* partial composition of entry n_good+1: some words land, the
              checksum word stays zero *)
-          let header_words = 24 and entry_words = 8 in
-          let w = header_words + (n_good mod capacity * entry_words) in
+          let w = Obs.Flight.slot_word (n_good mod capacity) in
+          let ck = Obs.Ring.checksum_word ~lines:1 in
           b.Obs.Flight.store w (n_good + 1);
           List.iter
             (fun (off, v) ->
-              if off >= 1 && off <= 5 then b.Obs.Flight.store (w + off) v)
+              if off >= 1 && off < ck then b.Obs.Flight.store (w + off) v)
             torn_words;
-          b.Obs.Flight.store (w + 6) 0;
+          b.Obs.Flight.store (w + ck) 0;
           b.Obs.Flight.flush w;
           b.Obs.Flight.fence ();
           Pmem.crash r;
@@ -275,7 +275,7 @@ let test_ptab_torn_write_reads_empty () =
   with_ptab (fun r b t ->
       (* payload words land but the length word (written last) does not:
          the slot must read as empty, not as a garbage name *)
-      let w0 = 8 + (2 * 8) in
+      let w0 = Prof.Ptab.slot_word 2 in
       b.Obs.Flight.store (w0 + 1) 0x41414141;
       b.Obs.Flight.flush (w0 + 1);
       b.Obs.Flight.fence ();
@@ -308,11 +308,7 @@ let test_crash_attribution () =
       List.iteri (fun i va -> if i mod 3 = 0 then Ralloc.free heap va) vas;
       let heap', status = Ralloc.crash_and_reopen heap in
       Alcotest.(check bool) "image is dirty" true (status = Ralloc.Dirty_restart);
-      let ring =
-        match Ralloc.prov heap' with
-        | Some r -> r
-        | None -> Alcotest.fail "provenance ring lost across crash"
-      in
+      let ring = (Ralloc.blackbox heap').Obs.Blackbox.prov in
       let live = Prof.Ring.live ring in
       Alcotest.(check bool) "samples survived the crash" true (live <> []);
       let total = ref 0 and attributed = ref 0 in
@@ -339,8 +335,37 @@ let test_crash_attribution () =
         live;
       Ralloc.close heap')
 
-(* The layout-version guard: an image stamped with a foreign version must
-   be refused with a readable error, not misread. *)
+(* The image guard: an image stamped with a foreign layout version, or
+   one whose metadata region is too short for this build's telemetry
+   window, must be refused with a readable error by every opener —
+   [Ralloc.init], [Ralloc.open_image] and [rstat --audit] — not
+   misread. *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+let write_file f s = Out_channel.with_open_bin f (fun oc -> output_string oc s)
+
+(* bin/rstat.exe next to this test's build directory *)
+let rstat_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/rstat.exe"
+
+let rstat_audit path =
+  let err = Filename.temp_file "rstat" ".err" in
+  let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process rstat_exe
+      [| rstat_exe; "--audit"; path |]
+      Unix.stdin Unix.stdout fd
+  in
+  Unix.close fd;
+  let _, st = Unix.waitpid [] pid in
+  let msg = read_file err in
+  Sys.remove err;
+  ((match st with Unix.WEXITED c -> c | _ -> 128), msg)
+
 let test_layout_version_guard () =
   let dir = Filename.temp_file "prof_ver" "" in
   Sys.remove dir;
@@ -349,33 +374,48 @@ let test_layout_version_guard () =
   let heap, status = Ralloc.init ~path ~size:(4 * mb) () in
   Alcotest.(check bool) "fresh" true (status = Ralloc.Fresh);
   Ralloc.close heap;
-  (* doctor the version word in the saved meta image *)
   let meta_path = path ^ ".meta" in
-  let ic = open_in_bin meta_path in
-  let len = in_channel_length ic in
-  let bytes = really_input_string ic len in
-  close_in ic;
-  let b = Bytes.of_string bytes in
+  let pristine = read_file meta_path in
   (* pmem images carry a 4096 B header before the raw words *)
-  Bytes.set_int64_le b (4096 + (Ralloc.Layout.meta_layout_version * 8)) 99L;
-  let oc = open_out_bin meta_path in
-  output_bytes oc b;
-  close_out oc;
-  (match Ralloc.init ~path ~size:(4 * mb) () with
-  | _ -> Alcotest.fail "init accepted a foreign layout version"
-  | exception Failure msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "error names both versions: %s" msg)
-      true
-      (let has s sub =
-         let n = String.length s and m = String.length sub in
-         let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-         go 0
-       in
-       has msg "layout v99" && has msg "expected v3"));
-  (match Ralloc.open_image ~path with
-  | _ -> Alcotest.fail "open_image accepted a foreign layout version"
-  | exception Failure _ -> ());
+  let stamp v =
+    let b = Bytes.of_string pristine in
+    Bytes.set_int64_le b (4096 + (Ralloc.Layout.meta_layout_version * 8)) v;
+    Bytes.to_string b
+  in
+  let refused ~what expect =
+    (match Ralloc.init ~path ~size:(4 * mb) () with
+    | _ -> Alcotest.failf "init accepted %s" what
+    | exception Failure msg ->
+      Alcotest.(check bool) (Printf.sprintf "init names it: %s" msg) true
+        (contains msg expect));
+    (match Ralloc.open_image ~path with
+    | _ -> Alcotest.failf "open_image accepted %s" what
+    | exception Failure msg ->
+      Alcotest.(check bool) (Printf.sprintf "open_image names it: %s" msg)
+        true (contains msg expect));
+    let code, msg = rstat_audit path in
+    Alcotest.(check bool) ("rstat --audit exits non-zero on " ^ what) true
+      (code <> 0);
+    Alcotest.(check bool) (Printf.sprintf "rstat names it: %s" msg) true
+      (contains msg expect)
+  in
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let fds0 = fds () in
+  write_file meta_path (stamp 99L);
+  refused ~what:"a foreign layout version" "layout v99, expected v4";
+  write_file meta_path (stamp 3L);
+  refused ~what:"a v3 image" "heap built by layout v3, expected v4";
+  (* a current-version image whose metadata region stops where the
+     telemetry window should start: header word count cut, file
+     truncated to match *)
+  let short = Ralloc.Layout.obs_base in
+  let b = Bytes.sub (Bytes.of_string pristine) 0 (4096 + (short * 8)) in
+  Bytes.set_int64_le b 16 (Int64.of_int short);
+  write_file meta_path (Bytes.to_string b);
+  refused ~what:"a short metadata region"
+    (Printf.sprintf "metadata region holds %d words" short);
+  Alcotest.(check int) "a refused init closes the files it opened" fds0
+    (fds ());
   Array.iter
     (fun f -> Sys.remove (Filename.concat dir f))
     (Sys.readdir dir);

@@ -202,7 +202,10 @@ let prop_torn_tail_dropped =
     ~count:40
     QCheck2.Gen.(
       pair (int_range 1 30)
-        (list_size (int_range 1 5) (pair (int_bound 30) (int_bound 1_000_000))))
+        (list_size (int_range 1 5)
+           (pair
+              (int_bound (Obs.Ring.checksum_word ~lines:Obs.Tsdb.record_lines))
+              (int_bound 1_000_000))))
     (fun (n_good, torn_words) ->
       Pmem.set_latency ~flush_ns:0 ~fence_ns:0 ();
       Obs.Tsdb.set_enabled true;
@@ -222,15 +225,14 @@ let prop_torn_tail_dropped =
           (* partial composition of fine record n_good+1: the header seq
              and some payload words land, the checksum word stays zero (a
              real [sample] computes it last, and zero never matches) *)
-          let fine_base = 8 + (24 * 8) and record_words = 32 in
-          let w = fine_base + (n_good * record_words) in
+          let w = Obs.Tsdb.slot_word `Fine n_good in
+          let ck = Obs.Ring.checksum_word ~lines:Obs.Tsdb.record_lines in
           b.Obs.Flight.store w (n_good + 1);
           List.iter
             (fun (off, v) ->
-              if off >= 1 && off <= record_words - 1 && off <> 7 then
-                b.Obs.Flight.store (w + off) v)
+              if off >= 1 && off < ck then b.Obs.Flight.store (w + off) v)
             torn_words;
-          b.Obs.Flight.store (w + 7) 0;
+          b.Obs.Flight.store (w + ck) 0;
           b.Obs.Flight.flush w;
           b.Obs.Flight.fence ();
           Pmem.crash r;
