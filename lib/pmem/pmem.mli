@@ -144,9 +144,14 @@ val deferred_fences : unit -> int
 val flush_range : t -> int -> int -> unit
 (** [flush_range t w n] flushes the lines covering words [w .. w+n-1]. *)
 
-val flush_all : t -> unit
-(** Write the entire volatile view back (used by clean shutdown).
-    Synchronously durable; posted-but-undrained lines are subsumed. *)
+val flush_prefix : t -> words:int -> unit
+(** [flush_prefix t ~words] writes the lines covering words
+    [0 .. words-1] back in one copy — how format, recovery and clean
+    shutdown persist the part of a region they have ever stored to
+    ([Pmem.size_words t] writes back all of it).  Synchronously durable;
+    posted-but-undrained lines in the prefix are subsumed, posted lines
+    above it stay posted.  Not counted as flushes.
+    @raise Invalid_argument if [words] is outside [0, size_words t]. *)
 
 val pending_lines : t -> int
 (** Number of lines the calling domain has flushed but not yet fenced
@@ -172,7 +177,11 @@ val crash : t -> unit
     fenced (or evicted) since creation/last crash is lost.  Lines posted
     by an un-fenced {!flush} are discarded — or, when the eviction rate is
     nonzero, independently applied with that probability, modeling
-    write-backs that happened to complete before the failure. *)
+    write-backs that happened to complete before the failure.  On a
+    {!open_file} region the volatile view's private pages are dropped
+    ([madvise(MADV_DONTNEED)]), so the next access re-reads the file;
+    other regions copy the persistent view back.
+    @raise Failure if the kernel refuses to drop the pages. *)
 
 val set_eviction_rate : t -> float -> unit
 (** With rate [p > 0], each store additionally writes its line back with
@@ -207,14 +216,18 @@ val load_string : t -> int -> int -> string
     page cache.  A line is copied word by word, so a [kill -9] that lands
     inside a copy can tear that one line in the file; only a fence still
     in progress can be cut short that way, so no fenced data is exposed.
-    The volatile view stays an anonymous copy.  In-memory regions
-    ({!create}) have no file. *)
+    The volatile view is a {e private} mapping of the same file: nothing
+    is zero-filled or copied at open, a page costs memory only once it is
+    touched, and a store copies its page on write, so it never reaches the
+    file except through a write-back.  In-memory regions ({!create}) have
+    no file and keep an anonymous volatile view. *)
 
 val open_file : ?name:string -> path:string -> size_bytes:int -> unit -> t * bool
 (** [open_file ~path ~size_bytes ()] opens (or creates) the region backed
-    by [path] and maps its data area as the persistent view.  Returns
-    [(region, existed)].  When the file existed, its stored size wins over
-    [size_bytes] and the volatile view starts as the durable contents.
+    by [path] and maps its data area twice: shared as the persistent view,
+    privately as the volatile view.  Returns [(region, existed)].  When
+    the file existed, its stored size wins over [size_bytes] and the
+    volatile view starts as the durable contents.
     @raise Failure if an existing file is not a pmem image or is shorter
     than its header's word count (it is never grown). *)
 
@@ -222,9 +235,9 @@ val load_image : path:string -> t
 (** [load_image ~path] maps a pmem image {e privately} into a fresh
     region — the volatile view starts as the durable contents, exactly as
     {!open_file} would see them — so nothing the caller does to the region
-    (stores, flushes, fences, {!flush_all}) can reach the file: written
-    pages are copied on write.  This is how an offline inspector
-    ([bin/rstat]) examines, and even trial-recovers, a heap image without
+    (stores, flushes, fences, {!flush_prefix}) can reach the file: written
+    pages are copied on write.  Its volatile view is an anonymous copy of
+    the image.  This is how an offline inspector ([bin/rstat]) examines, and even trial-recovers, a heap image without
     mutating it.  The file is opened read-only and closed before returning.
     @raise Failure if the file is missing, not a pmem image, or shorter
     than its header's word count. *)
@@ -284,9 +297,9 @@ val logical_bytes : unit -> int
 val physical_bytes : unit -> int
 (** Process-wide bytes actually written back to the durable medium at
     cache-line granularity: 64 per line drained at a fence (Pipelined),
-    flushed ({!Synchronous}) or evicted.  Full-image syncs at format and
-    close are deliberately excluded — they would swamp the steady-state
-    ratio.  Advances only while [Obs] metrics are enabled. *)
+    flushed ({!Synchronous}) or evicted.  The {!flush_prefix} copies at
+    format, recovery and close are deliberately excluded — they would
+    swamp the steady-state ratio.  Advances only while [Obs] metrics are enabled. *)
 
 val write_amp : unit -> float
 (** [physical_bytes () / logical_bytes ()] — the write amplification of

@@ -7,13 +7,18 @@
  * encoding in the library), so none of these functions allocate.
  */
 
+#include <errno.h>
 #include <stdatomic.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <string.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <caml/bigarray.h>
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
+#include <caml/fail.h>
 
 static inline _Atomic int64_t *word_ptr(value ba, value idx)
 {
@@ -72,8 +77,9 @@ CAMLprim value rpm_flush_line(value vol, value pers, value line)
   return Val_unit;
 }
 
-/* Bulk copy persistent -> volatile (crash reload) or volatile -> persistent
- * (clean shutdown).  [dir] = 0: vol -> pers, 1: pers -> vol. */
+/* Bulk copy of the first [nwords] words: persistent -> volatile (crash
+ * reload of an anonymous view) or volatile -> persistent (write-back of a
+ * region's prefix).  [dir] = 0: vol -> pers, 1: pers -> vol. */
 CAMLprim value rpm_sync_all(value vol, value pers, value nwords, value dir)
 {
   int64_t *v = (int64_t *)Caml_ba_data_val(vol);
@@ -83,5 +89,25 @@ CAMLprim value rpm_sync_all(value vol, value pers, value nwords, value dir)
     memcpy(p, v, n);
   else
     memcpy(v, p, n);
+  return Val_unit;
+}
+
+/* Drop every private page of a volatile view that is a private mapping of
+ * the region's image: the next access faults the page back in from the
+ * file, which holds exactly the durable state.  The start is aligned down
+ * to a page; the bytes below it belong to the same mapping (the image
+ * header) and are never written, so discarding them is harmless. */
+CAMLprim value rpm_discard(value ba)
+{
+  uintptr_t page = (uintptr_t)sysconf(_SC_PAGESIZE);
+  uintptr_t start = (uintptr_t)Caml_ba_data_val(ba);
+  uintptr_t end = start + caml_ba_byte_size(Caml_ba_array_val(ba));
+  uintptr_t base = start & ~(page - 1);
+  if (madvise((void *)base, end - base, MADV_DONTNEED) != 0) {
+    char msg[128];
+    snprintf(msg, sizeof msg, "Pmem.crash: madvise(MADV_DONTNEED): %s",
+             strerror(errno));
+    caml_failwith(msg);
+  }
   return Val_unit;
 }

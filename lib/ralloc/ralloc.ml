@@ -101,6 +101,11 @@ let obs_recover_trace_ns = Obs.Histogram.make "ralloc.recover.trace_ns"
 let obs_recover_rebuild_ns = Obs.Histogram.make "ralloc.recover.rebuild_ns"
 let obs_recover_reachable = Obs.Gauge.make "ralloc.recover.reachable_blocks"
 
+(* Descriptors the census walk visits: one per provisioned superblock, a
+   large block's run counting once — the work a sampler tick's census
+   costs. *)
+let obs_census_descriptors = Obs.Counter.make "ralloc.census.descriptors"
+
 let () =
   Obs.register_derived "ralloc.tcache.hit_rate" (fun () ->
       let h = Obs.Counter.read obs_tcache_hit
@@ -1068,8 +1073,10 @@ let format_heap ?heap_id meta sb sb_bytes =
   Pmem.store meta Layout.meta_layout_version Layout.layout_version;
   Pmem.store meta Layout.meta_dirty 1;
   ignore (Obs.Blackbox.format (obs_backend ~persist:true meta));
-  Pmem.flush_all meta;
-  Pmem.flush_all sb
+  (* of the superblock region only the header line (size, watermark) has
+     been stored to; the descriptor region is still all zeros *)
+  Pmem.flush_prefix meta ~words:(Pmem.size_words meta);
+  Pmem.flush_prefix sb ~words:Pmem.words_per_line
 
 let create ?(name = "heap") ?(persist = true) ?sb_base ?expansion_sbs
     ?heap_id ?tcache ~size () =
@@ -1172,15 +1179,25 @@ let open_image ~path =
   in
   (t, if is_dirty t then Dirty_restart else Clean_restart)
 
+(* Write back everything the heap can have stored to: the metadata, the
+   descriptors of the provisioned superblocks and the superblock region
+   below the [used] watermark.  Nothing above the watermark was ever
+   stored to, so the copy follows the provisioned heap, not its
+   capacity. *)
+let write_back_provisioned t =
+  let used = used_bytes t in
+  let used_sbs = (used - Layout.sb_first_offset) / Layout.superblock_bytes in
+  Pmem.flush_prefix t.meta ~words:(Pmem.size_words t.meta);
+  Pmem.flush_prefix t.desc ~words:(used_sbs * Layout.descriptor_words);
+  Pmem.flush_prefix t.sb ~words:(used / 8)
+
 let close t =
   check_open t;
   CK.set_site site_close;
   flight_record t ~kind:FK.heap_close ();
   unregister_heap t;
   flush_thread_cache t;
-  Pmem.flush_all t.meta;
-  Pmem.flush_all t.desc;
-  Pmem.flush_all t.sb;
+  write_back_provisioned t;
   mstore t Layout.meta_dirty 0;
   Pmem.flush t.meta Layout.meta_dirty;
   Pmem.fence t.meta;
@@ -1425,11 +1442,9 @@ let recover ?(domains = 1) t =
      List.iter Domain.join workers
    end);
   let reclaimed = Atomic.get reclaimed and partials = Atomic.get partials in
-  (* Step 10: flush the three regions and fence. *)
+  (* Step 10: flush the three regions' provisioned prefixes and fence. *)
   if t.persist then begin
-    Pmem.flush_all t.meta;
-    Pmem.flush_all t.desc;
-    Pmem.flush_all t.sb;
+    write_back_provisioned t;
     Pmem.fence t.meta
   end;
   let t_end = Unix.gettimeofday () in
@@ -1544,8 +1559,9 @@ let census t =
   and large_sbs = ref 0
   and large_blocks = ref 0
   and large_bytes = ref 0 in
-  let d = ref 0 in
+  let d = ref 0 and visited = ref 0 in
   while !d < used_sbs do
+    incr visited;
     let a = anchor_load t !d in
     let c = dload t !d Layout.d_class in
     (match a.state with
@@ -1580,6 +1596,7 @@ let census t =
       end
       else incr d)
   done;
+  Obs.Counter.add obs_census_descriptors !visited;
   let classes =
     Array.to_list per_class |> List.filter (fun r -> r.Census.superblocks > 0)
   in

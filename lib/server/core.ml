@@ -53,6 +53,7 @@ let ctr_commits = Obs.Counter.make "server.commits"
 let ctr_proto_errors = Obs.Counter.make "server.proto_errors"
 let ctr_accepts = Obs.Counter.make "server.accepts"
 let ctr_admission_busy = Obs.Counter.make "server.admission_busy"
+let ctr_metrics_read_errors = Obs.Counter.make "server.metrics_read_errors"
 let gauge_conns = Obs.Gauge.make "server.conns"
 
 (* ---------------------------- SLO watchdog ----------------------------- *)
@@ -668,16 +669,47 @@ let loop_run srv lp =
 (* Minimal plain-HTTP exposition of the Prometheus dump (--metrics-port):
    scrapers should not need the binary STATS protocol.  Polling acceptor;
    each request is served inline — responses are one small text body and
-   the socket carries a receive timeout, so a stalled scraper cannot
-   wedge the loop for long. *)
-let serve_metrics srv fd =
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0;
-  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 2.0;
-  (* read (and ignore) the request head; GET /metrics and anything else
-     get the same body, which is all a scraper needs from us *)
-  (try ignore (Unix.read fd (Bytes.create 4096) 0 4096)
-   with Unix.Unix_error _ -> ());
-  let body = stats_text srv in
+   reading the request is bounded in bytes and time, so a stalled scraper
+   cannot wedge the loop for long. *)
+
+let head_cap = 4096
+let head_timeout_s = 2.0
+
+(* Does [buf.[0 .. n-1]] hold a blank line, the end of a request head? *)
+let head_complete buf n =
+  let at i c = i < n && Bytes.get buf i = c in
+  let rec from i =
+    i < n
+    && ((at i '\n' && (at (i + 1) '\n' || (at (i + 1) '\r' && at (i + 2) '\n')))
+       || from (i + 1))
+  in
+  from 0
+
+(* Read (and ignore) the request head up to its blank line: GET /metrics
+   and anything else get the same body, which is all a scraper needs from
+   us.  A client may send the head in several segments, and closing with
+   any of it unread makes the kernel answer with a reset that can destroy
+   the response before the client reads it. *)
+let read_request_head fd =
+  let buf = Bytes.create head_cap in
+  let deadline = Unix.gettimeofday () +. head_timeout_s in
+  let rec go n =
+    let left = deadline -. Unix.gettimeofday () in
+    if n < head_cap && (not (head_complete buf n)) && left > 0. then begin
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO left;
+      match Unix.read fd buf n (head_cap - n) with
+      | 0 -> ()
+      | k -> go (n + k)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go n
+      | exception Unix.Unix_error _ -> Obs.Counter.incr ctr_metrics_read_errors
+    end
+  in
+  go 0
+
+let serve_metrics ~body fd =
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO head_timeout_s;
+  read_request_head fd;
+  let body = body () in
   let resp =
     Printf.sprintf
       "HTTP/1.0 200 OK\r\n\
@@ -699,7 +731,8 @@ let metrics_loop srv fd =
         match Unix.accept fd with
         | cfd, _ ->
           Unix.clear_nonblock cfd;
-          (try serve_metrics srv cfd with _ -> ());
+          (try serve_metrics ~body:(fun () -> stats_text srv) cfd
+           with _ -> ());
           (try Unix.close cfd with Unix.Unix_error _ -> ());
           loop ()
         | exception

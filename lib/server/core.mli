@@ -116,6 +116,15 @@ val conns : t -> int
 (** Live accepted connections across all loops (the [server.conns]
     gauge, read directly). *)
 
+val serve_metrics : body:(unit -> string) -> Unix.file_descr -> unit
+(** Serve one [--metrics-port] exchange on an accepted connection: read
+    the request head up to its blank line (at most 4 KiB, within 2 s;
+    read errors count in [server.metrics_read_errors]), then write
+    [body ()] as an HTTP/1.0 200 response.  Reading the whole head
+    matters: closing a socket with request bytes unread makes the kernel
+    send a reset, which can destroy the response before the client reads
+    it.  Does not close [fd]. *)
+
 val stop : ?mode:[ `Graceful | `Abrupt ] -> t -> unit
 (** Stop serving.  [`Graceful] (default) drains, commits and closes the
     heap; [`Abrupt] abandons uncommitted batches (their clients get an

@@ -15,7 +15,7 @@ let with_ring ?(capacity = 16) f =
   let r = Pmem.create ~size_bytes:(words * 8) () in
   let b = Pmem.flight_backend r ~first_word:0 ~words in
   let t = Obs.Flight.format b ~capacity in
-  Pmem.flush_all r;
+  Pmem.flush_prefix r ~words:(Pmem.size_words r);
   Pmem.fence r;
   Fun.protect ~finally:(fun () -> Obs.Flight.set_enabled false)
     (fun () -> f r b t)
@@ -146,7 +146,7 @@ let prop_fenced_events_survive =
           let r = Pmem.create ~size_bytes:(words * 8) () in
           let b = Pmem.flight_backend r ~first_word:0 ~words in
           let t = Obs.Flight.format b ~capacity in
-          Pmem.flush_all r;
+          Pmem.flush_prefix r ~words:(Pmem.size_words r);
           Pmem.fence r;
           Pmem.set_eviction_rate r evict_rate;
           List.iter
@@ -190,7 +190,7 @@ let prop_torn_tail_detected =
           let r = Pmem.create ~size_bytes:(words * 8) () in
           let b = Pmem.flight_backend r ~first_word:0 ~words in
           let t = Obs.Flight.format b ~capacity in
-          Pmem.flush_all r;
+          Pmem.flush_prefix r ~words:(Pmem.size_words r);
           Pmem.fence r;
           for i = 1 to n_good do
             Obs.Flight.record t ~kind:Obs.Flight.Kind.malloc ~a:i ()
@@ -235,7 +235,7 @@ let prop_seq_monotonic_across_crashes =
           let r = Pmem.create ~size_bytes:(words * 8) () in
           let b = Pmem.flight_backend r ~first_word:0 ~words in
           let t = Obs.Flight.format b ~capacity in
-          Pmem.flush_all r;
+          Pmem.flush_prefix r ~words:(Pmem.size_words r);
           Pmem.fence r;
           let total = ref 0 in
           let ok = ref true in

@@ -77,16 +77,33 @@ let test_flush_range () =
   Alcotest.(check int) "before range lost" 0 (Pmem.load r 7);
   Alcotest.(check int) "after range lost" 0 (Pmem.load r 40)
 
-let test_flush_all () =
+let test_flush_prefix () =
   let r = Pmem.create ~size_bytes:4096 () in
   for w = 0 to 511 do
     Pmem.store r w (w * 3)
   done;
-  Pmem.flush_all r;
+  (* a posted line above the prefix stays posted; one inside is absorbed *)
+  Pmem.flush r 3;
+  Pmem.flush r 200;
+  Pmem.flush_prefix r ~words:100 (* rounds up to the line ending at 103 *);
+  Alcotest.(check int) "posted line above the prefix kept" 1
+    (Pmem.pending_lines r);
+  Pmem.crash r;
+  for w = 0 to 103 do
+    Alcotest.(check int) "prefix kept" (w * 3) (Pmem.load r w)
+  done;
+  Alcotest.(check int) "past the prefix lost" 0 (Pmem.load r 104);
+  for w = 0 to 511 do
+    Pmem.store r w (w * 5)
+  done;
+  Pmem.flush_prefix r ~words:(Pmem.size_words r);
   Pmem.crash r;
   for w = 0 to 511 do
-    Alcotest.(check int) "kept" (w * 3) (Pmem.load r w)
-  done
+    Alcotest.(check int) "whole region kept" (w * 5) (Pmem.load r w)
+  done;
+  Alcotest.check_raises "past the end"
+    (Invalid_argument "Pmem(pmem).flush_prefix: 513 words of 512")
+    (fun () -> Pmem.flush_prefix r ~words:513)
 
 let test_eviction_mode () =
   let r = Pmem.create ~size_bytes:65536 () in
@@ -342,12 +359,12 @@ let test_file_rejects_bad_word_count () =
 
 let test_load_image_leaves_file () =
   (* What a trial recovery does to a loaded image — stores, flushes,
-     fences, a whole-region flush_all — must never reach the file. *)
+     fences, a whole-region flush_prefix — must never reach the file. *)
   with_temp_file (fun path ->
       let r, _ = Pmem.open_file ~path ~size_bytes:8192 () in
       Pmem.store r 3 31;
       Pmem.store r 700 7;
-      Pmem.flush_all r;
+      Pmem.flush_prefix r ~words:(Pmem.size_words r);
       Pmem.close_file r;
       let before = read_file path in
       let img = Pmem.load_image ~path in
@@ -358,7 +375,7 @@ let test_load_image_leaves_file () =
       Pmem.flush_range img 64 16;
       Pmem.fence img;
       Pmem.store img 700 0;
-      Pmem.flush_all img;
+      Pmem.flush_prefix img ~words:(Pmem.size_words img);
       Alcotest.(check int) "region keeps its own writes" 99 (Pmem.load img 3);
       Alcotest.(check bool) "file byte-identical" true
         (String.equal before (read_file path));
@@ -419,6 +436,94 @@ let prop_crash_idempotent =
       Pmem.crash r;
       a = Pmem.load r w)
 
+(* Crash equivalence of the two volatile views.  An in-memory region keeps
+   an anonymous view and a crash copies the persistent view back; a
+   file-backed one maps its image privately and a crash drops the copied
+   pages.  One seeded sequence of stores, flushes, fences, prefix
+   write-backs and crashes, replayed under eviction with the persistency
+   checker on, must leave both with the same volatile contents after
+   every crash and the same checker findings.  The sequences flush and
+   write back lines whose private page was never copied, so the shared
+   view is written through a page the private view still shares. *)
+type op =
+  | Store of int * int
+  | Flush of int
+  | Fence
+  | Prefix of int
+  | Crash
+
+let diff_words = 3 * 512 (* three 4 KiB pages *)
+
+let gen_ops =
+  let open QCheck2.Gen in
+  let word = int_bound (diff_words - 1) in
+  list_size (int_range 1 80)
+    (frequency
+       [
+         (8, map2 (fun w v -> Store (w, v)) word (int_range 1 1_000_000));
+         (4, map (fun w -> Flush w) word);
+         (2, pure Fence);
+         (1, map (fun w -> Prefix w) (int_bound diff_words));
+         (2, pure Crash);
+       ])
+
+let print_op = function
+  | Store (w, v) -> Printf.sprintf "store %d %d" w v
+  | Flush w -> Printf.sprintf "flush %d" w
+  | Fence -> "fence"
+  | Prefix w -> Printf.sprintf "prefix %d" w
+  | Crash -> "crash"
+
+(* Run [ops] on [r] (ending with a crash); return the volatile contents
+   seen after each crash and the checker's findings, with fence epochs
+   made relative to the run's first. *)
+let replay r ops =
+  Pmem.Check.reset ();
+  let epoch0 = Pmem.Check.current_epoch () in
+  Pmem.set_eviction_rate r 0.1;
+  let seen = ref [] in
+  List.iter
+    (function
+      | Store (w, v) -> Pmem.store r w v
+      | Flush w -> Pmem.flush r w
+      | Fence -> Pmem.fence r
+      | Prefix w -> Pmem.flush_prefix r ~words:w
+      | Crash ->
+        Pmem.crash r;
+        seen := Array.init diff_words (Pmem.load r) :: !seen)
+    (ops @ [ Crash ]);
+  let findings =
+    List.map
+      (fun (v : Pmem.Check.violation) ->
+        ( v.v_site,
+          v.v_line,
+          v.v_word,
+          v.v_crash_epoch - epoch0,
+          v.v_read_epoch - epoch0 ))
+      (Pmem.Check.violations ())
+  in
+  (List.rev !seen, Pmem.Check.totals (), findings)
+
+let prop_file_crash_matches_memory =
+  QCheck2.Test.make ~name:"file-backed crash = in-memory crash (PCHECK)"
+    ~count:150 ~print:(QCheck2.Print.list print_op) gen_ops (fun ops ->
+      let was = Pmem.Check.enabled () in
+      Pmem.Check.set_enabled true;
+      Fun.protect
+        ~finally:(fun () ->
+          Pmem.Check.reset ();
+          Pmem.Check.set_enabled was)
+        (fun () ->
+          let mem = Pmem.create ~name:"diff" ~size_bytes:(diff_words * 8) () in
+          let in_memory = replay mem ops in
+          with_temp_file (fun path ->
+              let file, _ =
+                Pmem.open_file ~name:"diff" ~path ~size_bytes:(diff_words * 8) ()
+              in
+              let file_backed = replay file ops in
+              Pmem.close_file file;
+              in_memory = file_backed)))
+
 let () =
   Alcotest.run "pmem"
     [
@@ -437,7 +542,7 @@ let () =
           Alcotest.test_case "line granularity" `Quick
             test_flush_line_granularity;
           Alcotest.test_case "flush_range" `Quick test_flush_range;
-          Alcotest.test_case "flush_all" `Quick test_flush_all;
+          Alcotest.test_case "flush_prefix" `Quick test_flush_prefix;
           Alcotest.test_case "eviction mode" `Quick test_eviction_mode;
           Alcotest.test_case "stats" `Quick test_stats;
         ] );
@@ -488,5 +593,6 @@ let () =
             prop_crash_idempotent;
             prop_pipeline_unfenced_never_garbage;
             prop_pipeline_fenced_always_durable;
+            prop_file_crash_matches_memory;
           ] );
     ]

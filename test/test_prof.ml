@@ -127,7 +127,7 @@ let with_ring ?(capacity = 16) f =
   let r = Pmem.create ~size_bytes:(words * 8) () in
   let b = Pmem.flight_backend r ~first_word:0 ~words in
   let t = Prof.Ring.format b ~capacity in
-  Pmem.flush_all r;
+  Pmem.flush_prefix r ~words:(Pmem.size_words r);
   Pmem.fence r;
   f r b t
 
@@ -245,7 +245,7 @@ let with_ptab ?(capacity = 8) f =
   let r = Pmem.create ~size_bytes:(words * 8) () in
   let b = Pmem.flight_backend r ~first_word:0 ~words in
   let t = Prof.Ptab.format b ~capacity in
-  Pmem.flush_all r;
+  Pmem.flush_prefix r ~words:(Pmem.size_words r);
   Pmem.fence r;
   f r b t
 

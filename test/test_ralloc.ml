@@ -216,6 +216,70 @@ let test_clean_restart_via_files () =
   Ralloc.close t;
   List.iter Sys.remove [ path ^ ".meta"; path ^ ".desc"; path ^ ".sb" ]
 
+(* Resident set size of this process, in bytes. *)
+let vm_rss () =
+  In_channel.with_open_text "/proc/self/status" (fun ic ->
+      let rec find () =
+        match In_channel.input_line ic with
+        | None -> failwith "no VmRSS in /proc/self/status"
+        | Some l ->
+          if String.starts_with ~prefix:"VmRSS:" l then
+            Scanf.sscanf l "VmRSS: %d kB" (fun kb -> kb * 1024)
+          else find ()
+      in
+      find ())
+
+(* A restart's memory must follow the live set, not the heap's capacity:
+   reopening a 128 MiB heap that holds 10k live blocks — dirty, then
+   recovered, and clean — may grow the resident set by less than 16 MiB.
+   A volatile view that is zero-filled and loaded with the whole image
+   at open, or a write-back of the whole image, costs twice the
+   capacity.  The persistency checker keeps a shadow word per heap word,
+   so it is off for this test. *)
+let restart_rss_gate () =
+  let path = Filename.temp_file "ralloc" "heap" in
+  Sys.remove path;
+  let size = 128 * mb and budget = 16 * mb and n = 10_000 in
+  let grows what f =
+    let before = vm_rss () in
+    let r = f () in
+    let grew = vm_rss () - before in
+    if grew >= budget then
+      Alcotest.failf "%s grew RSS by %d KiB (budget %d KiB)" what
+        (grew / 1024) (budget / 1024);
+    r
+  in
+  let t, _ = Ralloc.init ~path ~size () in
+  ignore (build_list t n);
+  (* a crash: the handle is dropped without a close and the image reopened *)
+  let t =
+    grows "dirty init + recover" (fun () ->
+        let t, status = Ralloc.init ~path ~size () in
+        Alcotest.(check bool) "dirty restart" true
+          (status = Ralloc.Dirty_restart);
+        let stats = Ralloc.recover t in
+        Alcotest.(check int) "live set recovered" n stats.reachable_blocks;
+        t)
+  in
+  Ralloc.close t;
+  let t =
+    grows "clean init" (fun () ->
+        let t, status = Ralloc.init ~path ~size () in
+        Alcotest.(check bool) "clean restart" true
+          (status = Ralloc.Clean_restart);
+        t)
+  in
+  check_list t n;
+  Ralloc.close t;
+  List.iter Sys.remove [ path ^ ".meta"; path ^ ".desc"; path ^ ".sb" ]
+
+let test_restart_rss_follows_live_set () =
+  let checking = Pmem.Check.enabled () in
+  Pmem.Check.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Pmem.Check.set_enabled checking)
+    restart_rss_gate
+
 let test_position_independence () =
   with_heap (fun t ->
       let n = 50 in
@@ -598,6 +662,8 @@ let () =
             test_recovery_with_eviction_noise;
           Alcotest.test_case "clean restart via files" `Quick
             test_clean_restart_via_files;
+          Alcotest.test_case "restart RSS follows the live set" `Quick
+            test_restart_rss_follows_live_set;
           Alcotest.test_case "position independence" `Quick
             test_position_independence;
           Alcotest.test_case "filter function" `Quick test_filter_function;

@@ -863,6 +863,42 @@ let evloop_cases =
         ])
     backends
 
+(* A scraper may send its request head in several segments — bash's
+   /dev/tcp sends "GET /metrics HTTP/1.0\r\n\r\n" as 23 + 2 bytes.  The
+   metrics handler must read up to the blank line: had it returned after
+   the first segment, the socket would be closed with bytes unread and
+   the kernel would reset the connection under the response. *)
+let test_metrics_reads_whole_head () =
+  let server, client = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close [ server; client ])
+    (fun () ->
+      let head = "GET /metrics HTTP/1.0\r\n\r\n" in
+      let send off len = ignore (Unix.write_substring client head off len) in
+      send 0 23;
+      let late =
+        Thread.create
+          (fun () ->
+            Thread.delay 0.05;
+            send 23 2)
+          ()
+      in
+      Core.serve_metrics ~body:(fun () -> "up 1\n") server;
+      Thread.join late;
+      Unix.set_nonblock server;
+      let unread =
+        match Unix.read server (Bytes.create 16) 0 16 with
+        | n -> n
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> 0
+      in
+      Alcotest.(check int) "request head fully read" 0 unread;
+      let buf = Bytes.create 4096 in
+      let n = Unix.read client buf 0 4096 in
+      let resp = Bytes.sub_string buf 0 n in
+      Alcotest.(check bool) "200 with the body" true
+        (String.starts_with ~prefix:"HTTP/1.0 200 OK\r\n" resp
+        && String.ends_with ~suffix:"\r\n\r\nup 1\n" resp))
+
 let () =
   Alcotest.run "server"
     [
@@ -898,6 +934,8 @@ let () =
             test_graceful_stop_commits;
           Alcotest.test_case "out-of-range int key" `Quick
             test_out_of_range_key;
+          Alcotest.test_case "/metrics reads the whole request head" `Quick
+            test_metrics_reads_whole_head;
         ] );
       ( "rtrace",
         [

@@ -22,7 +22,7 @@ let with_db f =
   let r = Pmem.create ~size_bytes:(words * 8) () in
   let b = Pmem.flight_backend r ~first_word:0 ~words in
   let t = Obs.Tsdb.format b in
-  Pmem.flush_all r;
+  Pmem.flush_prefix r ~words:(Pmem.size_words r);
   Pmem.fence r;
   Fun.protect
     ~finally:(fun () -> Obs.Tsdb.set_enabled false)
@@ -157,7 +157,7 @@ let prop_downsampling_conserves_sums =
           let r = Pmem.create ~size_bytes:(words * 8) () in
           let b = Pmem.flight_backend r ~first_word:0 ~words in
           let t = Obs.Tsdb.format b in
-          Pmem.flush_all r;
+          Pmem.flush_prefix r ~words:(Pmem.size_words r);
           Pmem.fence r;
           let nseries = 3 in
           for i = 0 to nseries - 1 do
@@ -216,7 +216,7 @@ let prop_torn_tail_dropped =
           let r = Pmem.create ~size_bytes:(words * 8) () in
           let b = Pmem.flight_backend r ~first_word:0 ~words in
           let t = Obs.Tsdb.format b in
-          Pmem.flush_all r;
+          Pmem.flush_prefix r ~words:(Pmem.size_words r);
           Pmem.fence r;
           ignore (Obs.Tsdb.declare t "s0");
           for k = 1 to n_good do
@@ -282,7 +282,7 @@ let prop_crash_sweep_checked =
           let r = Pmem.create ~size_bytes:(words * 8) () in
           let b = Pmem.flight_backend r ~first_word:0 ~words in
           let t = Obs.Tsdb.format b in
-          Pmem.flush_all r;
+          Pmem.flush_prefix r ~words:(Pmem.size_words r);
           Pmem.fence r;
           Pmem.set_eviction_rate r evict_rate;
           ignore (Obs.Tsdb.declare t "s0");
