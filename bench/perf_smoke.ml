@@ -527,13 +527,15 @@ let () =
      - the census visits exactly one descriptor per provisioned
        superblock, never the heap's capacity;
      - a tick allocates at most [tick_words] OCaml words plus
-       [desc_words] per visited descriptor (measured: ~560 + ~14).
+       [desc_words] per visited descriptor (measured: ~530 + 0);
+     - a census walk alone allocates no more words over twice the
+       descriptors (measured: 67 words at 128 and at 256).
      The census is the only part that grows with the heap.  On a 2-vCPU
      x86-64 VM a tick took ~10 us with 16 descriptors and ~47 us with a
      64 MiB heap fully provisioned (1024), inside the 100 us.  The
      best-of-5 wall time per tick is printed as a trend only. *)
-  let tick_words = 768 and desc_words = 16 in
-  let words_per_tick, descs_per_tick, provisioned, tick_us =
+  let tick_words = 768 and desc_words = 0 in
+  let words_per_tick, descs_per_tick, provisioned, tick_us, census_growth =
     Obs.set_enabled true;
     Obs.Tsdb.set_enabled true;
     let heap = Ralloc.create ~name:"tsdb-tick" ~size:(64 * mb) () in
@@ -572,11 +574,25 @@ let () =
     let provisioned =
       (Ralloc.census heap).Ralloc.Census.provisioned_superblocks
     in
+    let census_words () =
+      let w0 = allocated () in
+      let c = Ralloc.census heap in
+      (allocated () -. w0, c.Ralloc.Census.provisioned_superblocks)
+    in
+    let w1, d1 = census_words () in
+    let more =
+      Array.init 20_000 (fun i -> Ralloc.malloc heap (16 + (i mod 8 * 100)))
+    in
+    let w2, d2 = census_words () in
+    ignore (Sys.opaque_identity more);
     ignore (Sys.opaque_identity live);
     Obs.Tsdb.set_enabled false;
     Obs.set_enabled false;
-    (words, descs, provisioned, !best)
+    (words, descs, provisioned, !best, (w1, d1, w2, d2))
   in
+  let cw1, cd1, cw2, cd2 = census_growth in
+  Printf.printf "census walk: %.0f words at %d descriptors, %.0f at %d\n" cw1
+    cd1 cw2 cd2;
   Printf.printf
     "tsdb tick: %.1f words, %d descriptors (%d provisioned superblocks)\n"
     words_per_tick descs_per_tick provisioned;
@@ -588,10 +604,85 @@ let () =
        tick_words desc_words)
     (words_per_tick
     <= float_of_int (tick_words + (desc_words * descs_per_tick)));
+  check
+    (Printf.sprintf "census walk allocates at most %d words/descriptor"
+       desc_words)
+    (cd2 > cd1 && cw2 -. cw1 <= float_of_int (desc_words * (cd2 - cd1)));
   if !failed then begin
     prerr_endline
       "perf_smoke: tsdb sampler exceeded its throughput budget";
     exit 1
   end;
   print_endline
-    "perf_smoke: tsdb sampler stays within 1% of unsampled throughput"
+    "perf_smoke: tsdb sampler stays within 1% of unsampled throughput";
+
+  (* Per-op persistence ledger of pkvd's int map: the Natarajan-Mittal
+     tree under EBR with fence deferral on, as a pkvd worker runs it.
+     Each op is measured on its own, with the deferred drain outside the
+     window, and the sums must be exact multiples of the protocol:
+     - overwrite (set on a present key): 1 flush of the value word and
+       its deferred release fence; no ordering fence, no malloc;
+     - set on an absent key: 2 node flushes + 1 ordering fence, then the
+       publish edge's flush and deferred release fence; 2 mallocs;
+     - delete: flag (1F+1 fence), sibling tag (1F+1 fence), then the
+       unlinking swing's flush and deferred release fence. *)
+  let n = 500 in
+  Obs.set_enabled true;
+  let heap = Ralloc.create ~name:"ledger" ~size:(16 * mb) () in
+  let tree = Dstruct.Nmtree.create ~smr:(Ebr.create heap) heap ~root:0 in
+  let malloc_counters =
+    Array.init
+      (Ralloc.Size_class.count + 1)
+      (fun c ->
+        Obs.Counter.make
+          (if c = 0 then "ralloc.alloc.large"
+           else Printf.sprintf "ralloc.alloc.class_%02d" c))
+  in
+  let mallocs () =
+    Array.fold_left (fun acc c -> acc + Obs.Counter.read c) 0 malloc_counters
+  in
+  (* even keys live; odd keys are set, then deleted *)
+  for k = 0 to n - 1 do
+    ignore (Dstruct.Nmtree.insert tree (2 * k) k)
+  done;
+  Pmem.set_fence_deferral true;
+  let ledger op =
+    let f = ref 0 and fe = ref 0 and dfe = ref 0 and m = ref 0 in
+    for k = 0 to n - 1 do
+      let s0 = Ralloc.stats heap and m0 = mallocs () in
+      op k;
+      let d = Pmem.Stats.diff (Ralloc.stats heap) s0 in
+      f := !f + d.flushes;
+      fe := !fe + d.fences;
+      m := !m + mallocs () - m0;
+      dfe := !dfe + Pmem.deferred_fences ();
+      ignore (Pmem.drain_deferred ())
+    done;
+    (!f, !fe, !dfe, !m)
+  in
+  let row what op (wf, wfe, wdfe, wm) =
+    let f, fe, dfe, m = ledger op in
+    check
+      (Printf.sprintf
+         "%s: %d flushes, %d fences, %d deferred, %d mallocs per op" what wf
+         wfe wdfe wm)
+      ((f, fe, dfe, m) = (n * wf, n * wfe, n * wdfe, n * wm))
+  in
+  row "nmtree overwrite"
+    (fun k -> ignore (Dstruct.Nmtree.set tree (2 * k) (k + 1)))
+    (1, 0, 1, 0);
+  row "nmtree set absent"
+    (fun k -> ignore (Dstruct.Nmtree.set tree ((2 * k) + 1) k))
+    (3, 1, 1, 2);
+  row "nmtree delete"
+    (fun k -> ignore (Dstruct.Nmtree.delete tree ((2 * k) + 1)))
+    (3, 2, 1, 0);
+  Pmem.set_fence_deferral false;
+  Obs.set_enabled false;
+  if !failed then begin
+    prerr_endline
+      "perf_smoke: an int-map op paid persistence work outside its protocol";
+    exit 1
+  end;
+  print_endline
+    "perf_smoke: int-map overwrite is 1 flush + 1 deferred fence, no malloc"

@@ -33,12 +33,7 @@ let open_store path =
 
 let cmd_set path key value =
   let heap, store, _ = open_store path in
-  let fresh = Dstruct.Nmtree.insert store key value in
-  if not fresh then begin
-    (* NM-tree insert is insert-only: replace = delete + insert *)
-    ignore (Dstruct.Nmtree.delete store key);
-    ignore (Dstruct.Nmtree.insert store key value)
-  end;
+  ignore (Dstruct.Nmtree.set store key value);
   Printf.printf "%d -> %d\n" key value;
   Ralloc.close heap
 

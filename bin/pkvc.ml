@@ -34,10 +34,23 @@ let connect ?(retries = 0) addr =
   in
   go retries
 
+(* The server went away mid-conversation: end of stream, or a reset or
+   broken pipe on the socket. *)
+exception Disconnected of string
+
+let () =
+  Printexc.register_printer (function
+    | Disconnected why -> Some ("pkvc: " ^ why)
+    | _ -> None)
+
 let rpc fd req =
-  Proto.write_frame fd (Proto.encode_request req);
-  match Proto.read_frame fd with
-  | None -> failwith "pkvc: server closed the connection"
+  match
+    Proto.write_frame fd (Proto.encode_request req);
+    Proto.read_frame fd
+  with
+  | exception Unix.Unix_error (((ECONNRESET | EPIPE) as e), _, _) ->
+    raise (Disconnected (Unix.error_message e))
+  | None -> raise (Disconnected "server closed the connection")
   | Some payload -> (
     match Proto.decode_response payload with
     | Ok r -> r
@@ -86,13 +99,18 @@ let parse_prom text =
 
 (* Bulk load: [conns] threads, each sending its slice of [n] synchronous
    SETs (ints, or strings with [--strings]); BUSY replies are retried with
-   a small backoff — the client-side half of the backpressure contract. *)
+   a small backoff — the client-side half of the backpressure contract.
+   If the server goes away, each thread stops, the disconnect is reported
+   once, and the load exits 1. *)
 let cmd_load socket port retries n start conns strings =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   let addr = addr_of socket port in
   let slice = (n + conns - 1) / conns in
   let done_count = Atomic.make 0 in
+  let lost = Atomic.make false in
   let t0 = Unix.gettimeofday () in
-  let worker c =
+  let load_slice c =
     let fd = connect ~retries addr in
     let lo = start + (c * slice) in
     let hi = min (start + n) (lo + slice) in
@@ -115,12 +133,19 @@ let cmd_load socket port retries n start conns strings =
     done;
     Unix.close fd
   in
+  let worker c =
+    try load_slice c
+    with Disconnected why ->
+      if not (Atomic.exchange lost true) then
+        Printf.eprintf "pkvc load: %s\n%!" why
+  in
   let threads = List.init conns (fun c -> Thread.create worker c) in
   List.iter Thread.join threads;
   let dt = Unix.gettimeofday () -. t0 in
   Printf.printf "loaded %d keys in %.3fs (%.0f ops/s)\n"
     (Atomic.get done_count) dt
-    (float_of_int (Atomic.get done_count) /. dt)
+    (float_of_int (Atomic.get done_count) /. dt);
+  if Atomic.get lost then exit 1
 
 (* Connection-scale bench: hold [conns] open connections while [active]
    of them do synchronous SET/GET traffic — the client half of the

@@ -195,16 +195,27 @@ let cleanup t key sr =
   end;
   ok
 
-let rec insert_raw t key value =
-  if key < 0 || key > max_key then invalid_arg "Nmtree.insert: key too large";
+(* Insert [key], or with [replace] overwrite a live binding in place.
+   True iff [key] was absent.  A live leaf's value word is read only by
+   lookups that reached the leaf through an unflagged edge, so one aligned
+   store replaces the binding: no new node, no ordering fence, and a crash
+   keeps the old value or the new one, never neither. *)
+let rec upsert t key value ~replace =
+  if key < 0 || key > max_key then invalid_arg "Nmtree: key out of range";
   let sr = seek t key in
   let leaf_key = key_of t sr.leaf in
   if leaf_key = key && flagged sr.leaf_edge then begin
     (* deleted but still linked (say, across a crash): unlink, retry *)
     ignore (cleanup t key sr);
-    insert_raw t key value
+    upsert t key value ~replace
   end
-  else if leaf_key = key then false
+  else if leaf_key = key then begin
+    if replace then begin
+      Ralloc.store t.heap (value_word sr.leaf) value;
+      persist_word_release t (value_word sr.leaf)
+    end;
+    false
+  end
   else begin
     let parent = sr.parent in
     let child_addr = child_word t parent key in
@@ -241,11 +252,12 @@ let rec insert_raw t key value =
       let w = Ralloc.load t.heap child_addr in
       if edge_ref ~holder:child_addr w = existing && (flagged w || tagged w)
       then ignore (cleanup t key sr);
-      insert_raw t key value
+      upsert t key value ~replace
     end
   end
 
-let insert t key value = guard t (fun () -> insert_raw t key value)
+let insert t key value = guard t (fun () -> upsert t key value ~replace:false)
+let set t key value = guard t (fun () -> upsert t key value ~replace:true)
 
 let rec delete_cleanup t key leaf =
   let sr = seek t key in

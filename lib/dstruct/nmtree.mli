@@ -31,9 +31,29 @@ val attach : ?reclaim:bool -> ?smr:Ebr.t -> Ralloc.t -> root:int -> t
     this {e before} {!Ralloc.recover} on a dirty heap. *)
 
 val insert : t -> int -> int -> bool
-(** [insert t key value]: false if [key] was already present.
-    @raise Invalid_argument on keys above {!max_key}
+(** [insert t key value]: false if [key] was already present (its binding
+    is left unchanged).
+    @raise Invalid_argument on keys below 0 or above {!max_key}
     @raise Failure when the heap is exhausted. *)
+
+val set : t -> int -> int -> bool
+(** [set t key value] binds [key] to [value], inserting or replacing;
+    true iff [key] was absent.  A live binding is overwritten in place:
+    one aligned 8-byte store into the leaf's value word, then one flush
+    and a release fence ({!Ralloc.fence_release}, which group commit
+    defers) — no allocation, no ordering fence, no second seek.  An
+    absent key takes {!insert}'s path.
+
+    Linearization: a replace takes effect at its store.  If a concurrent
+    {!delete} flagged the leaf between this call's seek and its store,
+    the store lands on a leaf that already reads as absent, and the set is
+    ordered immediately before that delete's flag (the seek saw the leaf
+    unflagged, so that instant lies inside the call).
+
+    Crash: a replace that was not yet durable reads back after recovery
+    as the old value or the new one, never as absent.
+    @raise Invalid_argument on keys below 0 or above {!max_key}
+    @raise Failure when the heap is exhausted (absent keys only). *)
 
 val delete : t -> int -> bool
 (** False if [key] was absent. *)

@@ -8,6 +8,9 @@ let tag_mask = (1 lsl tag_bits) - 1
 let int_of_state = function Empty -> 0 | Partial -> 1 | Full -> 2
 let state_of_int = function 0 -> Empty | 1 -> Partial | _ -> Full
 
+let word_count w = (w lsr 16) land 0xFFFF
+let word_state w = state_of_int ((w lsr 32) land 3)
+
 let pack { avail; count; state; tag } =
   assert (avail >= 0 && avail <= 0xFFFF);
   assert (count >= 0 && count <= max_count);
@@ -18,8 +21,8 @@ let pack { avail; count; state; tag } =
 let unpack w =
   {
     avail = w land 0xFFFF;
-    count = (w lsr 16) land 0xFFFF;
-    state = state_of_int ((w lsr 32) land 3);
+    count = word_count w;
+    state = word_state w;
     tag = (w lsr 34) land tag_mask;
   }
 

@@ -28,6 +28,12 @@ val pack : t -> int
 val unpack : int -> t
 (** Inverse of {!pack}. *)
 
+val word_count : int -> int
+(** [word_count w] is [(unpack w).count], read without building a record. *)
+
+val word_state : int -> state
+(** [word_state w] is [(unpack w).state], read without building a record. *)
+
 val max_count : int
 (** Largest representable [count] (65535 ≥ blocks per superblock). *)
 

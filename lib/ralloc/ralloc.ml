@@ -1539,22 +1539,12 @@ let census t =
   check_open t;
   let used = used_bytes t in
   let used_sbs = (used - Layout.sb_first_offset) / Layout.superblock_bytes in
-  let per_class =
-    Array.init
-      (Size_class.count + 1)
-      (fun c ->
-        {
-          Census.size_class = c;
-          block_size =
-            (if Size_class.is_valid_class c then Size_class.block_size c else 0);
-          superblocks = 0;
-          full = 0;
-          partial = 0;
-          allocated_blocks = 0;
-          free_blocks = 0;
-          slack_bytes = 0;
-        })
-  in
+  (* per-class accumulators, indexed by size class: the walk itself
+     allocates nothing, so a sampler tick's census costs the same OCaml
+     words at every heap size *)
+  let acc () = Array.make (Size_class.count + 1) 0 in
+  let sbs = acc () and full = acc () and partial = acc () in
+  let free = acc () and alloc = acc () and slack = acc () in
   let empty = ref 0
   and large_sbs = ref 0
   and large_blocks = ref 0
@@ -1562,13 +1552,13 @@ let census t =
   let d = ref 0 and visited = ref 0 in
   while !d < used_sbs do
     incr visited;
-    let a = anchor_load t !d in
+    let a = dload t !d Layout.d_anchor in
     let c = dload t !d Layout.d_class in
-    (match a.state with
+    (match Anchor.word_state a with
     | Empty ->
       incr empty;
       incr d
-    | Partial | Full ->
+    | (Partial | Full) as state ->
       if c = 0 then begin
         let k = max 1 (dload t !d Layout.d_bsize / Layout.superblock_bytes) in
         let k = min k (used_sbs - !d) in
@@ -1578,27 +1568,37 @@ let census t =
         d := !d + k
       end
       else if Size_class.is_valid_class c then begin
-        let r = per_class.(c) in
         let n = Size_class.blocks_per_superblock c in
-        let bsz = Size_class.block_size c in
-        per_class.(c) <-
-          {
-            r with
-            superblocks = r.superblocks + 1;
-            full = (r.full + if a.state = Full then 1 else 0);
-            partial = (r.partial + if a.state = Partial then 1 else 0);
-            free_blocks = r.free_blocks + a.count;
-            allocated_blocks = r.allocated_blocks + (n - a.count);
-            slack_bytes =
-              r.slack_bytes + (Layout.superblock_bytes - (n * bsz));
-          };
+        let count = Anchor.word_count a in
+        sbs.(c) <- sbs.(c) + 1;
+        if state = Full then full.(c) <- full.(c) + 1
+        else partial.(c) <- partial.(c) + 1;
+        free.(c) <- free.(c) + count;
+        alloc.(c) <- alloc.(c) + (n - count);
+        slack.(c) <-
+          slack.(c) + (Layout.superblock_bytes - (n * Size_class.block_size c));
         incr d
       end
       else incr d)
   done;
   Obs.Counter.add obs_census_descriptors !visited;
   let classes =
-    Array.to_list per_class |> List.filter (fun r -> r.Census.superblocks > 0)
+    List.filter_map
+      (fun c ->
+        if sbs.(c) = 0 then None
+        else
+          Some
+            {
+              Census.size_class = c;
+              block_size = Size_class.block_size c;
+              superblocks = sbs.(c);
+              full = full.(c);
+              partial = partial.(c);
+              allocated_blocks = alloc.(c);
+              free_blocks = free.(c);
+              slack_bytes = slack.(c);
+            })
+      (List.init (Size_class.count + 1) Fun.id)
   in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 classes in
   let small_alloc = sum (fun r -> r.Census.allocated_blocks) in

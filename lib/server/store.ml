@@ -63,10 +63,7 @@ let pv_sdel = Obs.Prof.site "store.sdel"
 let iset t key value =
   Obs.Prof.with_site pv_iset (fun () ->
       Obs.Span.with_stage sp_iset (fun () ->
-          if not (Dstruct.Nmtree.insert t.tree key value) then begin
-            ignore (Dstruct.Nmtree.delete t.tree key);
-            ignore (Dstruct.Nmtree.insert t.tree key value)
-          end))
+          ignore (Dstruct.Nmtree.set t.tree key value)))
 
 let iget t key =
   Obs.Prof.with_site pv_iget (fun () ->

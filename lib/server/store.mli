@@ -35,8 +35,10 @@ val close : t -> unit
     drained worker domains first ({!Ralloc.flush_thread_cache}). *)
 
 val iset : t -> int -> int -> unit
-(** Bind an int key, replacing any existing binding (the tree's insert is
-    insert-only, so replace is delete + insert). *)
+(** Bind an int key, replacing any existing binding ({!Dstruct.Nmtree.set}:
+    an overwrite is one in-place store).  Crash invariant: an overwrite
+    cut short before its batch's fence reads back as the old value or the
+    new one, never as absent. *)
 
 val iget : t -> int -> int option
 (** Look up an int key in the ordered map. *)

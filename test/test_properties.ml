@@ -78,35 +78,152 @@ let prop_phashmap_durable =
         (fun k v acc -> acc && Dstruct.Phashmap.get m k = Some v)
         model true)
 
+(* An int-map op the generators draw: on small keys, so overwrites of
+   present keys and deletes of present keys are common. *)
+type tree_op = Insert of int * int | Set of int * int | Delete of int
+
+let gen_tree_op =
+  QCheck2.Gen.(
+    let key = int_bound 40 and v = int_bound 1_000_000 in
+    oneof
+      [
+        map2 (fun k v -> Insert (k, v)) key v;
+        map2 (fun k v -> Set (k, v)) key v;
+        map (fun k -> Delete k) key;
+      ])
+
+(* Apply [op] to the tree and the Hashtbl model; false if the tree's
+   answer disagrees with the model's. *)
+let apply_op t model op =
+  match op with
+  | Insert (k, v) ->
+    let fresh = not (Hashtbl.mem model k) in
+    if fresh then Hashtbl.replace model k v;
+    Dstruct.Nmtree.insert t k v = fresh
+  | Set (k, v) ->
+    let fresh = not (Hashtbl.mem model k) in
+    Hashtbl.replace model k v;
+    Dstruct.Nmtree.set t k v = fresh
+  | Delete k ->
+    let present = Hashtbl.mem model k in
+    Hashtbl.remove model k;
+    Dstruct.Nmtree.delete t k = present
+
+let tree_contents t =
+  let l = ref [] in
+  Dstruct.Nmtree.iter (fun k v -> l := (k, v) :: !l) t;
+  List.sort compare !l
+
+let model_contents model =
+  List.sort compare (List.of_seq (Hashtbl.to_seq model))
+
 let prop_nmtree_durable =
   QCheck2.Test.make ~name:"nmtree: contents identical after crash+recover"
-    ~count:15
+    ~count:30
     QCheck2.Gen.(
-      pair
-        (list_size (int_range 5 200) (pair (int_bound 100) (option nat)))
-        (int_bound 2))
-    (fun (ops, noise) ->
-      (* (k, Some v) = insert k v, (k, None) = delete k *)
+      triple (list_size (int_range 5 200) gen_tree_op) (int_bound 2) nat)
+    (fun (ops, noise, at) ->
+      (* completed inserts, overwrites and deletes up to a crash point
+         agree with the model before the crash and all survive it *)
       let heap = Ralloc.create ~name:"prop-t" ~size:(16 * mb) () in
       Ralloc.set_eviction_rate heap (float_of_int noise *. 0.25);
       let t = Dstruct.Nmtree.create heap ~root:0 in
-      List.iter
-        (fun (k, op) ->
-          match op with
-          | Some v -> ignore (Dstruct.Nmtree.insert t k v)
-          | None -> ignore (Dstruct.Nmtree.delete t k))
-        ops;
-      let contents t =
-        let l = ref [] in
-        Dstruct.Nmtree.iter (fun k v -> l := (k, v) :: !l) t;
-        List.sort compare !l
-      in
-      let before = contents t in
+      let model = Hashtbl.create 64 in
+      let crash_at = at mod (List.length ops + 1) in
+      let prefix = List.filteri (fun i _ -> i < crash_at) ops in
+      let agreed = List.for_all (apply_op t model) prefix in
       let heap, _ = Ralloc.crash_and_reopen heap in
       let t = Dstruct.Nmtree.attach heap ~root:0 in
       ignore (Ralloc.recover heap);
       Dstruct.Nmtree.check_invariants t;
-      contents t = before)
+      agreed && tree_contents t = model_contents model)
+
+let prop_nmtree_unacked =
+  QCheck2.Test.make ~name:"nmtree: an unacked op is all-or-nothing per key"
+    ~count:30
+    QCheck2.Gen.(
+      triple (list_size (int_range 5 120) gen_tree_op) gen_tree_op (int_bound 2))
+    (fun (ops, last, noise) ->
+      (* the last op runs with its release fence deferred and the crash
+         lands before the drain: its key reads back in its state before
+         or after that op, every other key exactly as the model says *)
+      let heap = Ralloc.create ~name:"prop-u" ~size:(16 * mb) () in
+      Ralloc.set_eviction_rate heap (float_of_int noise *. 0.25);
+      let t = Dstruct.Nmtree.create heap ~root:0 in
+      let model = Hashtbl.create 64 in
+      let agreed = List.for_all (apply_op t model) ops in
+      let before = Hashtbl.copy model in
+      Pmem.set_fence_deferral true;
+      let agreed = apply_op t model last && agreed in
+      let heap, _ = Ralloc.crash_and_reopen heap in
+      Pmem.set_fence_deferral false;
+      let t = Dstruct.Nmtree.attach heap ~root:0 in
+      ignore (Ralloc.recover heap);
+      Dstruct.Nmtree.check_invariants t;
+      let key = match last with Insert (k, _) | Set (k, _) | Delete k -> k in
+      let got = Dstruct.Nmtree.find t key in
+      let others = List.filter (fun (k, _) -> k <> key) in
+      agreed
+      && (got = Hashtbl.find_opt before key || got = Hashtbl.find_opt model key)
+      && others (model_contents model) = others (tree_contents t))
+
+(* Four domains run set, delete and find on 64 shared keys under EBR.
+   Linearizability, checked where it is observable after the join: each
+   key ends in the state some domain's last op on it left, and every
+   find returns a value some set wrote to that key. *)
+let test_nmtree_concurrent_set () =
+  let keys = 64 and domains = 4 and per = 3000 in
+  let heap = Ralloc.create ~name:"prop-c" ~size:(32 * mb) () in
+  let t = Dstruct.Nmtree.create ~smr:(Ebr.create heap) heap ~root:0 in
+  (* a value names its key: v mod keys = key *)
+  for k = 0 to keys - 1 do
+    ignore (Dstruct.Nmtree.insert t k k)
+  done;
+  let run tid () =
+    let rng = Random.State.make [| tid |] in
+    let last = Array.make keys `Untouched in
+    let bad_find = ref 0 in
+    for i = 1 to per do
+      let k = Random.State.int rng keys in
+      match Random.State.int rng 3 with
+      | 0 ->
+        let v = (((tid * per) + i) * keys) + k in
+        ignore (Dstruct.Nmtree.set t k v);
+        last.(k) <- `Set v
+      | 1 ->
+        ignore (Dstruct.Nmtree.delete t k);
+        last.(k) <- `Deleted
+      | _ -> (
+        match Dstruct.Nmtree.find t k with
+        | Some v when v mod keys <> k -> incr bad_find
+        | _ -> ())
+    done;
+    Ralloc.flush_thread_cache heap;
+    (last, !bad_find)
+  in
+  let results =
+    List.init domains (fun tid -> Domain.spawn (run tid)) |> List.map Domain.join
+  in
+  Dstruct.Nmtree.check_invariants t;
+  List.iter
+    (fun (_, bad) -> Alcotest.(check int) "finds return a key's own value" 0 bad)
+    results;
+  for k = 0 to keys - 1 do
+    let final = Dstruct.Nmtree.find t k in
+    let candidates =
+      List.filter_map
+        (fun (last, _) ->
+          match last.(k) with
+          | `Untouched -> None
+          | `Set v -> Some (Some v)
+          | `Deleted -> Some None)
+        results
+    in
+    let candidates = if candidates = [] then [ Some k ] else candidates in
+    if not (List.mem final candidates) then
+      Alcotest.failf "key %d ends as %s, no domain's last op left it so" k
+        (match final with None -> "absent" | Some v -> string_of_int v)
+  done
 
 let prop_pstack_durable =
   QCheck2.Test.make ~name:"pstack: completed pushes and pops survive any crash"
@@ -216,8 +333,14 @@ let () =
             prop_phashmap_durable;
             prop_recovery_idempotent;
             prop_nmtree_durable;
+            prop_nmtree_unacked;
             prop_pstack_durable;
           ] );
+      ( "concurrent",
+        [
+          Alcotest.test_case "nmtree set/delete/find on shared keys" `Quick
+            test_nmtree_concurrent_set;
+        ] );
       ( "sweeps",
         [
           Alcotest.test_case "eviction rate sweep" `Quick

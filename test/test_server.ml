@@ -349,6 +349,73 @@ let test_crash_during_serve () =
   Ralloc.close heap;
   cleanup_heap base
 
+(* The store-layer crash invariant for overwrites: an overwrite whose batch
+   never reached its fence (the drain is deferred, and the crash lands
+   first) reads back as the old value or the new one, never as absent.
+   Without eviction the in-place store is lost and the old value returns;
+   at 0.5 its line may have been written back.  Under PCHECK the only
+   non-durable word recovery and the lookups may read is that value word,
+   and only when it reads old. *)
+let test_store_crash_mid_overwrite () =
+  let stale_reads () =
+    let t = Pmem.Check.totals () in
+    t.Pmem.Check.t_violations + t.Pmem.Check.t_allowed_violations
+  in
+  List.iter
+    (fun (seed, evict) ->
+      let base = temp_base () in
+      let st = Server.Store.open_store ~concurrent:true ~size:(8 * mb) base in
+      Ralloc.set_eviction_rate st.heap evict;
+      let rng = Random.State.make [| seed |] in
+      let n = 20 + Random.State.int rng 200 in
+      for k = 0 to n - 1 do
+        Server.Store.iset st k (k + 1)
+      done;
+      let victim = Random.State.int rng n in
+      let old_v = victim + 1 and new_v = -victim in
+      Pmem.set_fence_deferral true;
+      Server.Store.iset st victim new_v;
+      let heap, status = Ralloc.crash_and_reopen st.heap in
+      Pmem.set_fence_deferral false;
+      Alcotest.(check bool) "dirty restart" true (status = Ralloc.Dirty_restart);
+      let stale0 = stale_reads () in
+      let st =
+        {
+          st with
+          heap;
+          tree = Dstruct.Nmtree.attach heap ~root:0;
+          smap = Dstruct.Phashmap.attach heap ~root:1;
+          smr = None;
+          status;
+        }
+      in
+      ignore (Ralloc.recover heap);
+      Dstruct.Nmtree.check_invariants st.tree;
+      let got = Server.Store.iget st victim in
+      let what =
+        Printf.sprintf "seed %d evict %.1f: key %d" seed evict victim
+      in
+      if got <> Some old_v && got <> Some new_v then
+        Alcotest.failf "%s reads %s, want %d or %d" what
+          (match got with None -> "absent" | Some v -> string_of_int v)
+          old_v new_v;
+      if evict = 0.0 then
+        Alcotest.(check (option int)) (what ^ " lost its unacked store")
+          (Some old_v) got;
+      for k = 0 to n - 1 do
+        if k <> victim then
+          Alcotest.(check (option int)) "other key" (Some (k + 1))
+            (Server.Store.iget st k)
+      done;
+      if Pmem.Check.enabled () then
+        Alcotest.(check int)
+          (what ^ ": stale reads under PCHECK")
+          (if got = Some old_v then 1 else 0)
+          (stale_reads () - stale0);
+      Ralloc.close heap;
+      cleanup_heap base)
+    (List.concat_map (fun seed -> [ (seed, 0.0); (seed, 0.5) ]) [ 1; 2; 3 ])
+
 (* ---------------------- graceful stop durability ------------------------ *)
 
 (* SIGTERM-path: a graceful stop commits in-flight batches, so even writes
@@ -930,6 +997,8 @@ let () =
           Alcotest.test_case "BUSY backpressure" `Quick test_busy_backpressure;
           Alcotest.test_case "crash during serve" `Quick
             test_crash_during_serve;
+          Alcotest.test_case "crash mid overwrite" `Quick
+            test_store_crash_mid_overwrite;
           Alcotest.test_case "graceful stop commits" `Quick
             test_graceful_stop_commits;
           Alcotest.test_case "out-of-range int key" `Quick
