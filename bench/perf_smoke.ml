@@ -624,8 +624,9 @@ let () =
        its deferred release fence; no ordering fence, no malloc;
      - set on an absent key: 2 node flushes + 1 ordering fence, then the
        publish edge's flush and deferred release fence; 2 mallocs;
-     - delete: flag (1F+1 fence), sibling tag (1F+1 fence), then the
-       unlinking swing's flush and deferred release fence. *)
+     - delete: flag (1F+1 fence), then the unlinking swing's flush and
+       deferred release fence; sibling tag: stored, never persisted;
+     - delete of an absent key: a seek, no persistence work at all. *)
   let n = 500 in
   Obs.set_enabled true;
   let heap = Ralloc.create ~name:"ledger" ~size:(16 * mb) () in
@@ -676,7 +677,10 @@ let () =
     (3, 1, 1, 2);
   row "nmtree delete"
     (fun k -> ignore (Dstruct.Nmtree.delete tree ((2 * k) + 1)))
-    (3, 2, 1, 0);
+    (2, 1, 1, 0);
+  row "nmtree delete absent"
+    (fun k -> ignore (Dstruct.Nmtree.delete tree ((2 * k) + 1)))
+    (0, 0, 0, 0);
   Pmem.set_fence_deferral false;
   Obs.set_enabled false;
   if !failed then begin

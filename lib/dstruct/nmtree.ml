@@ -76,6 +76,20 @@ let persist_word_release t va =
   if t.reclaim && t.smr = None then Ralloc.fence t.heap
   else Ralloc.fence_release t.heap
 
+(* The tag's CAS has its own checker site, so a tag lost in a crash
+   tallies as a by-design loss; the site is set only around the CAS, and
+   only while the checker is on. *)
+let site_tag =
+  Pmem.Check.allow "nmtree.tag"
+    ~reason:"freeze mark; cleanup re-tags after a crash"
+
+let cas_tag t addr w =
+  let desired = w lor tag_bit in
+  if Pmem.Check.on () then
+    Pmem.Check.with_site site_tag (fun () ->
+        Ralloc.cas t.heap addr ~expected:w ~desired)
+  else Ralloc.cas t.heap addr ~expected:w ~desired
+
 let create ?(reclaim = false) ?smr heap ~root =
   let t = { heap; root = 0; reclaim; smr } in
   let r = alloc_node t inf2 0 in
@@ -164,16 +178,23 @@ let cleanup t key sr =
     if flagged (load child_addr) then (child_addr, sibling_addr)
     else (sibling_addr, child_addr) (* the flag is on the other edge *)
   in
-  (* freeze the sibling edge so no modification can happen under it *)
+  (* Freeze the sibling edge so no modification can happen under it.  The
+     tag is stored, never persisted: recovery reads links and flags only,
+     and a tag is never durable while its flag is not.  The flag and the
+     tag are the two edge words of [parent], one 32 B node that never
+     straddles a 64 B line ({!check_invariants} checks it); the tag is
+     CASed only after a flag in that node is set, and neither bit is ever
+     cleared; a line is written back whole, with its current contents, at
+     a drain or an eviction.  So any durable image holding the tag holds
+     the flag, and a tag lost in a crash is re-applied by the next cleanup
+     of this key. *)
   let rec tag_edge () =
     let w = load sibling_addr in
     if tagged w then w
-    else if Ralloc.cas t.heap sibling_addr ~expected:w ~desired:(w lor tag_bit)
-    then w lor tag_bit
+    else if cas_tag t sibling_addr w then w lor tag_bit
     else tag_edge ()
   in
   let sw = tag_edge () in
-  persist_word t sibling_addr;
   let a_addr = child_word t sr.ancestor key in
   let expected =
     make_edge ~holder:a_addr ~target:sr.successor ~flag:false ~tag:false
@@ -328,7 +349,11 @@ let size t =
 
 let check_invariants t =
   let load = Ralloc.load t.heap in
+  let base = Ralloc.sb_base t.heap in
   let rec walk n lo hi =
+    (* cleanup's unpersisted tag relies on a node sharing one line *)
+    if (n - base) land 63 > 64 - node_bytes then
+      failwith (Printf.sprintf "Nmtree: node %#x straddles a 64 B line" n);
     let k = key_of t n in
     if not (lo <= k && k <= hi) then
       failwith (Printf.sprintf "Nmtree: key %d outside (%d, %d)" k lo hi);

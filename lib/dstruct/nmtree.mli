@@ -56,7 +56,25 @@ val set : t -> int -> int -> bool
     @raise Failure when the heap is exhausted (absent keys only). *)
 
 val delete : t -> int -> bool
-(** False if [key] was absent. *)
+(** False if [key] was absent; an absent key costs a seek and no
+    persistence work.  A removing delete takes effect at its flag CAS,
+    which is flushed and fenced; the unlinking swing of the ancestor's
+    edge is then flushed with a release fence ({!Ralloc.fence_release},
+    which group commit defers): 2 flushes, 1 ordering fence, no
+    allocation.
+
+    The sibling edge's tag is stored but never persisted: it freezes
+    the edge against concurrent inserts, and recovery never reads it.
+    It cannot be durable while its flag is not.  Both are edge words of
+    the same 32 B parent node, which never straddles a 64 B line
+    (Ralloc places 32 B blocks on 32 B boundaries; {!check_invariants}
+    checks it).  A tag is CASed only after a flag in that node is set,
+    and neither bit is ever cleared.  A line is written back whole, with
+    its current contents, at a drain or an eviction.  So every durable
+    image that holds the tag holds the flag, and a tag lost in a crash is
+    re-applied by the next operation that cleans up the key.  Under the
+    persistency checker a lost tag tallies at the allowed site
+    [nmtree.tag]. *)
 
 val find : t -> int -> int option
 (** [find t key] is the value bound to [key], if any.  A delete takes
@@ -74,8 +92,9 @@ val size : t -> int
 (** Number of client bindings (O(n) walk; quiescent use). *)
 
 val check_invariants : t -> unit
-(** Walk the tree verifying BST ordering and leaf-orientation; raises
-    [Failure] on violation.  For tests. *)
+(** Walk the tree verifying BST ordering, leaf-orientation and that no
+    node straddles a 64 B line; raises [Failure] on violation.  For
+    tests. *)
 
 val filter : Ralloc.t -> Ralloc.filter
 (** The recovery filter for this structure's node graph (paper §4.5.1). *)

@@ -78,15 +78,23 @@ for _ in 1 2 3 4 5; do
     && break || { metrics=""; sleep 0.3; }
 done
 [ -n "$metrics" ] || fail "/metrics: fetch failed"
-echo "$metrics" | grep -q "200 OK" || fail "/metrics: no 200"
+# a failed content check shows what arrived: the body's size, then the body
+metrics_fail() {
+  {
+    echo "server_smoke: scraped /metrics body ($(printf '%s' "$metrics" | wc -c) bytes):"
+    printf '%s\n' "$metrics"
+  } >&2
+  fail "$@"
+}
+echo "$metrics" | grep -q "200 OK" || metrics_fail "/metrics: no 200"
 echo "$metrics" | grep -q "^prof_sample_rate_bytes 4096" \
-  || fail "/metrics: no prof_sample_rate_bytes"
+  || metrics_fail "/metrics: no prof_sample_rate_bytes"
 echo "$metrics" | grep -q "^prof_samples_total" \
-  || fail "/metrics: no prof_samples_total"
+  || metrics_fail "/metrics: no prof_samples_total"
 echo "$metrics" | grep -q "^prof_live_bytes{site=" \
-  || fail "/metrics: no per-site prof_live_bytes"
+  || metrics_fail "/metrics: no per-site prof_live_bytes"
 echo "$metrics" | grep -q "^server_ops" \
-  || fail "/metrics: no server counters"
+  || metrics_fail "/metrics: no server counters"
 
 echo "== tsdb gauges + SLO breach counter in /metrics =="
 # the sampler ticks every 0.2s; retry until the first tick has published

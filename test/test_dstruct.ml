@@ -237,8 +237,11 @@ let test_nmtree_crash_recovery () =
    release fence is deferred (group commit) and the crash lands before the
    drain, so recovery finds the leaf still linked behind a durable flag:
    the key must read as absent from the first lookup on, not linger until
-   some later operation happens to finish the unlink. *)
-let test_nmtree_crash_after_flag () =
+   some later operation happens to finish the unlink.  The sibling edge's
+   tag is never persisted, so the sweep also crashes random trees under
+   EBR and eviction, then works the victim and both its neighbours: stale
+   flagged or untagged edges left by the crash must clean up. *)
+let crash_after_flag_fixed () =
   with_heap (fun h ->
       let t = Dstruct.Nmtree.create h ~root:0 in
       List.iter (fun k -> ignore (Dstruct.Nmtree.insert t k k)) [ 10; 20; 30 ];
@@ -257,6 +260,73 @@ let test_nmtree_crash_after_flag () =
       Alcotest.(check (option int)) "find 10" (Some 10) (Dstruct.Nmtree.find t 10);
       Alcotest.(check (option int)) "find 30" (Some 30) (Dstruct.Nmtree.find t 30);
       Dstruct.Nmtree.check_invariants t)
+
+let crash_after_flag_sweep ~seed ~evict =
+  with_heap (fun h ->
+      let rng = Random.State.make [| seed |] in
+      Ralloc.set_eviction_rate h evict;
+      let t = Dstruct.Nmtree.create ~smr:(Ebr.create h) h ~root:0 in
+      let keys =
+        List.init (20 + Random.State.int rng 200) (fun _ ->
+            Random.State.int rng 10_000)
+        |> List.sort_uniq compare
+        |> Array.of_list
+      in
+      Array.iter (fun k -> ignore (Dstruct.Nmtree.insert t k (k + 1))) keys;
+      let i = Random.State.int rng (Array.length keys) in
+      let victim = keys.(i) in
+      let what = Printf.sprintf "seed %d evict %.2f: key %d" seed evict victim in
+      Pmem.set_fence_deferral true;
+      Alcotest.(check bool) (what ^ " deleted") true
+        (Dstruct.Nmtree.delete t victim);
+      let h, _ = Ralloc.crash_and_reopen h in
+      Pmem.set_fence_deferral false;
+      let t = Dstruct.Nmtree.attach ~smr:(Ebr.create h) h ~root:0 in
+      ignore (Ralloc.recover h);
+      Dstruct.Nmtree.check_invariants t;
+      Alcotest.(check (option int)) (what ^ " reads absent") None
+        (Dstruct.Nmtree.find t victim);
+      Alcotest.(check int) (what ^ ": other keys intact")
+        (Array.length keys - 1) (Dstruct.Nmtree.size t);
+      Array.iter
+        (fun k ->
+          if k <> victim then
+            Alcotest.(check (option int)) (what ^ ": other key") (Some (k + 1))
+              (Dstruct.Nmtree.find t k))
+        keys;
+      (* each neighbour goes and comes back, then the victim comes back and
+         goes again, across the edges the crash left flagged or untagged *)
+      List.iter
+        (fun j ->
+          if j >= 0 && j < Array.length keys then begin
+            let k = keys.(j) in
+            Alcotest.(check bool) (Printf.sprintf "%s: neighbour %d deleted" what k)
+              true (Dstruct.Nmtree.delete t k);
+            Alcotest.(check (option int)) "neighbour reads absent" None
+              (Dstruct.Nmtree.find t k);
+            Alcotest.(check bool) (Printf.sprintf "%s: neighbour %d reinserted" what k)
+              true (Dstruct.Nmtree.insert t k (k + 1))
+          end)
+        [ i - 1; i + 1 ];
+      Alcotest.(check (option int)) (what ^ " still absent") None
+        (Dstruct.Nmtree.find t victim);
+      Alcotest.(check bool) (what ^ " reinserted") true
+        (Dstruct.Nmtree.insert t victim 7);
+      Alcotest.(check (option int)) (what ^ " reads back") (Some 7)
+        (Dstruct.Nmtree.find t victim);
+      Alcotest.(check bool) (what ^ " deleted again") true
+        (Dstruct.Nmtree.delete t victim);
+      Alcotest.(check int) (what ^ ": size after the round trips")
+        (Array.length keys - 1) (Dstruct.Nmtree.size t);
+      Dstruct.Nmtree.check_invariants t)
+
+let test_nmtree_crash_after_flag () =
+  crash_after_flag_fixed ();
+  List.iter
+    (fun (seed, evict) -> crash_after_flag_sweep ~seed ~evict)
+    (List.concat_map
+       (fun seed -> [ (seed, 0.0); (seed, 0.25); (seed, 0.5) ])
+       [ 1; 2; 3; 4; 5 ])
 
 (* Post-crash reads of non-durable words, allowed or not: what the
    persistency checker tallies while PCHECK is set (0 otherwise). *)

@@ -416,6 +416,81 @@ let test_store_crash_mid_overwrite () =
       cleanup_heap base)
     (List.concat_map (fun seed -> [ (seed, 0.0); (seed, 0.5) ]) [ 1; 2; 3 ])
 
+(* The store-layer crash invariant for deletes: a delete whose batch never
+   reached its fence reads back as absent, because its flag is fenced
+   before the unlinking swing; every other key is intact and the key can
+   be set again.  The sibling edge's tag is stored but never persisted, so
+   a crash may lose it: under PCHECK every stale read of a tag word must
+   tally as a by-design loss at the allowed [nmtree.tag] site, and without
+   eviction the recovery walk reads the lost tag at least once. *)
+let test_store_crash_mid_delete () =
+  List.iter
+    (fun (seed, evict) ->
+      let base = temp_base () in
+      let st = Server.Store.open_store ~concurrent:true ~size:(8 * mb) base in
+      Ralloc.set_eviction_rate st.heap evict;
+      let rng = Random.State.make [| seed |] in
+      let n = 20 + Random.State.int rng 200 in
+      for k = 0 to n - 1 do
+        Server.Store.iset st k (k + 1)
+      done;
+      let victim = Random.State.int rng n in
+      (* the checker records at most 512 violations: start from none *)
+      if Pmem.Check.enabled () then Pmem.Check.reset ();
+      Pmem.set_fence_deferral true;
+      Alcotest.(check bool) "delete finds the key" true
+        (Server.Store.idel st victim);
+      let heap, status = Ralloc.crash_and_reopen st.heap in
+      Pmem.set_fence_deferral false;
+      Alcotest.(check bool) "dirty restart" true (status = Ralloc.Dirty_restart);
+      let st =
+        {
+          st with
+          heap;
+          tree = Dstruct.Nmtree.attach heap ~root:0;
+          smap = Dstruct.Phashmap.attach heap ~root:1;
+          smr = None;
+          status;
+        }
+      in
+      ignore (Ralloc.recover heap);
+      Dstruct.Nmtree.check_invariants st.tree;
+      let what =
+        Printf.sprintf "seed %d evict %.2f: key %d" seed evict victim
+      in
+      Alcotest.(check (option int)) (what ^ " reads absent") None
+        (Server.Store.iget st victim);
+      for k = 0 to n - 1 do
+        if k <> victim then
+          Alcotest.(check (option int)) "other key" (Some (k + 1))
+            (Server.Store.iget st k)
+      done;
+      Server.Store.iset st victim 7;
+      Alcotest.(check (option int)) (what ^ " set again") (Some 7)
+        (Server.Store.iget st victim);
+      Dstruct.Nmtree.check_invariants st.tree;
+      if Pmem.Check.enabled () then begin
+        let tags =
+          List.filter
+            (fun v -> v.Pmem.Check.v_site = "nmtree.tag")
+            (Pmem.Check.violations ())
+        in
+        List.iter
+          (fun v ->
+            if not v.Pmem.Check.v_allowed then
+              Alcotest.failf "%s: lost tag at word %d counted as a finding"
+                what v.Pmem.Check.v_word)
+          tags;
+        if evict = 0.0 && tags = [] then
+          Alcotest.failf "%s: the lost tag was not attributed to nmtree.tag"
+            what
+      end;
+      Ralloc.close heap;
+      cleanup_heap base)
+    (List.concat_map
+       (fun seed -> [ (seed, 0.0); (seed, 0.25); (seed, 0.5) ])
+       [ 1; 2; 3 ])
+
 (* ---------------------- graceful stop durability ------------------------ *)
 
 (* SIGTERM-path: a graceful stop commits in-flight batches, so even writes
@@ -999,6 +1074,8 @@ let () =
             test_crash_during_serve;
           Alcotest.test_case "crash mid overwrite" `Quick
             test_store_crash_mid_overwrite;
+          Alcotest.test_case "crash mid delete" `Quick
+            test_store_crash_mid_delete;
           Alcotest.test_case "graceful stop commits" `Quick
             test_graceful_stop_commits;
           Alcotest.test_case "out-of-range int key" `Quick
